@@ -1,10 +1,18 @@
 """Primitive layer operations: forward and exact reverse-mode backward.
 
-Convolution is cross-correlation (no kernel flip). The inner loop runs
-over kernel offsets, turning each offset into one (out_c, in_c) x
-(in_c, voxels) matmul; this keeps peak memory at one volume copy instead
-of a full im2col matrix and vectorizes well for the few-channel, large
-volume shapes this engine lives on.
+Convolution is cross-correlation (no kernel flip), summed directly in the
+spatial domain. It runs one (dz, dy) kernel row at a time: the kw shifted
+input slices of the row are copied into one reused (n, kw*in_c, voxels)
+buffer, and one (out_c, kw*in_c) matmul consumes it. Peak scratch memory is
+one padded input plus kw volume copies, not a full im2col matrix, and 1-cube
+kernels read the input directly, without a copy. Direct summation keeps
+structural zeros exact: a weight tap that meets only zero or out-of-range
+voxels gets a gradient of exactly 0.0, and such a tap adds nothing to the
+output. For stride 1 the input gradient is the same row-batched correlation,
+of the gradient with the flipped, channel-transposed kernel.
+
+Max pooling runs as three 1-D passes (width, then height, then depth) and
+records the winning tap of each pass; see ``maxpool3d``.
 
 All functions are pure: they allocate their outputs and never mutate
 arguments. Dropout takes an explicit seed or Generator.
@@ -83,11 +91,93 @@ def _check_conv_args(x, weights, spec):
         )
 
 
-def _pad_input(x, pad):
+def _check_frame(what, shape, expect):
+    """Raise ShapeError naming the first axis where shape differs from expect."""
+    if len(shape) != 5:
+        raise ShapeError(f"{what} must be 5-axis, got ndim={len(shape)}")
+    for ax, (got, want) in enumerate(zip(shape, expect)):
+        if got != want:
+            raise ShapeError(f"{what}: axis {AXES[ax]!r} has extent {got}, expected {want}",
+                             axis=AXES[ax])
+
+
+def _pad_input(x, pad, below=0):
+    """Zero-pad the spatial axes by pad, plus `below` extra rows at the bottom."""
     pd, ph, pw = pad
-    if pd == 0 and ph == 0 and pw == 0:
+    if pd == 0 and ph == 0 and pw == 0 and below == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph + below), (pw, pw)))
+
+
+def _rows(x, pad, kernel, stride, out_spatial):
+    """Column matrices of a correlation over x zero-padded by pad.
+
+    Returns (width, rows): rows yields (dz, dy, cols) for each kernel row,
+    where cols is (n, kw*c, voxels), the kw input slices of the row shifted
+    by dx and stacked tap-major along the channel axis, in one buffer reused
+    for every row. The voxels run over a (do, ho, width) grid. For stride 1
+    the grid is wide: each output row runs on over the kw-1 padded columns
+    after it, so width is the padded width and every slice is one contiguous
+    run per plane; no output uses the columns past wo. With kw == 1 and no
+    padding, cols is a view of x.
+    """
+    n, c = x.shape[:2]
+    kd, kh, kw = kernel
+    sd, sh, sw = stride
+    do, ho, wo = out_spatial
+    if stride == (1, 1, 1):
+        # one extra zero row keeps the last kernel row's runs inside their plane
+        xp = _pad_input(x, pad, below=1 if kw > 1 else 0)
+        width = xp.shape[4]
+        planes = xp.reshape(n, c, xp.shape[2], -1)
+
+        def taps(dz, dy, dx):
+            start = dy * width + dx
+            return planes[:, :, dz:dz + do, start:start + ho * width]
+    else:
+        xp = _pad_input(x, pad)
+        width = wo
+
+        def taps(dz, dy, dx):
+            return xp[:, :, dz:dz + sd * do:sd, dy:dy + sh * ho:sh, dx:dx + sw * wo:sw]
+
+    def rows():
+        if kw == 1:
+            for dz in range(kd):
+                for dy in range(kh):
+                    yield dz, dy, taps(dz, dy, 0).reshape(n, c, -1)
+            return
+        buf = np.empty((n, kw, c) + taps(0, 0, 0).shape[2:], dtype=x.dtype)
+        for dz in range(kd):
+            for dy in range(kh):
+                for dx in range(kw):
+                    buf[:, dx] = taps(dz, dy, dx)
+                yield dz, dy, buf.reshape(n, kw * c, -1)
+
+    return width, rows()
+
+
+def _row_weights(weights):
+    """(out_c, in_c, kd, kh, kw) -> (kd, kh, out_c, kw*in_c), the layout _rows stacks."""
+    out_c, in_c, kd, kh, kw = weights.shape
+    return weights.transpose(2, 3, 0, 4, 1).reshape(kd, kh, out_c, kw * in_c)
+
+
+def _correlate(x, pad, weights, stride, out_spatial):
+    """Cross-correlation of x zero-padded by pad, (n, out_c) + out_spatial."""
+    n = x.shape[0]
+    out_c, _, kd, kh, _ = weights.shape
+    do, ho, wo = out_spatial
+    wrows = _row_weights(weights)
+    width, rows = _rows(x, pad, weights.shape[2:], stride, out_spatial)
+    out = np.empty((n, out_c, do * ho * width), dtype=x.dtype)
+    part = np.empty_like(out) if kd * kh > 1 else None
+    for i, (dz, dy, cols) in enumerate(rows):
+        np.matmul(wrows[dz, dy], cols, out=part if i else out)
+        if i:
+            out += part
+    out = out.reshape(n, out_c, do, ho, width)
+    return np.ascontiguousarray(out[..., :wo]) if width != wo else out
 
 
 def conv3d(x, weights, bias, spec):
@@ -98,19 +188,7 @@ def conv3d(x, weights, bias, spec):
     x = np.asarray(x)
     weights = np.asarray(weights, dtype=x.dtype)
     _check_conv_args(x, weights, spec)
-    n = x.shape[0]
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    do, ho, wo = spec.out_spatial(x.shape[2:])
-    xp = _pad_input(x, spec.pad)
-    svox = do * ho * wo
-    out = np.zeros((n, spec.out_channels, svox), dtype=x.dtype)
-    for dz in range(kd):
-        for dy in range(kh):
-            for dx in range(kw):
-                xs = xp[:, :, dz:dz + sd * do:sd, dy:dy + sh * ho:sh, dx:dx + sw * wo:sw]
-                out += weights[:, :, dz, dy, dx] @ xs.reshape(n, spec.in_channels, svox)
-    out = out.reshape(n, spec.out_channels, do, ho, wo)
+    out = _correlate(x, spec.pad, weights, spec.stride, spec.out_spatial(x.shape[2:]))
     if bias is not None:
         bias = np.asarray(bias, dtype=x.dtype)
         if bias.shape != (spec.out_channels,):
@@ -122,51 +200,61 @@ def conv3d(x, weights, bias, spec):
 
 
 def conv3d_backward(x, weights, grad_out, spec):
-    """Exact gradients of conv3d wrt input, weights and bias."""
+    """Exact gradients of conv3d wrt input, weights and bias.
+
+    The weight gradient is summed per kernel row like the forward. For
+    stride 1 the input gradient is the correlation of grad_out with the
+    flipped, channel-transposed kernel; strided convs scatter it back per
+    kernel tap.
+    """
     x = np.asarray(x)
     weights = np.asarray(weights, dtype=x.dtype)
     grad_out = np.asarray(grad_out, dtype=x.dtype)
     _check_conv_args(x, weights, spec)
     n = x.shape[0]
-    kd, kh, kw = spec.kernel
+    out_c, in_c, kd, kh, kw = weights.shape
     sd, sh, sw = spec.stride
-    do, ho, wo = spec.out_spatial(x.shape[2:])
-    if grad_out.shape != (n, spec.out_channels, do, ho, wo):
-        raise ShapeError(
-            f"conv3d_backward: grad_out shape {grad_out.shape} does not match "
-            f"output shape {(n, spec.out_channels, do, ho, wo)}"
-        )
-    xp = _pad_input(x, spec.pad)
-    svox = do * ho * wo
-    gyf = grad_out.reshape(n, spec.out_channels, svox)
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.zeros_like(weights)
-    for dz in range(kd):
-        for dy in range(kh):
+    do, ho, wo = out_sp = spec.out_spatial(x.shape[2:])
+    _check_frame("conv3d_backward: grad_out", grad_out.shape, (n, out_c) + out_sp)
+    strided = spec.stride != (1, 1, 1)
+    if strided:
+        padded = tuple(e + 2 * p for e, p in zip(x.shape[2:], spec.pad))
+        grad_xp = np.zeros(x.shape[:2] + padded, dtype=x.dtype)
+        wcols = _row_weights(weights).transpose(0, 1, 3, 2)
+    else:
+        flipped = weights[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        back_pad = tuple(k - 1 - p for k, p in zip(spec.kernel, spec.pad))
+        grad_x = _correlate(grad_out, back_pad, flipped, (1, 1, 1), x.shape[2:])
+    width, rows = _rows(x, spec.pad, spec.kernel, spec.stride, out_sp)
+    gy = grad_out
+    if width != wo:
+        # a zero gradient on the unused columns keeps their products exactly 0
+        gy = np.zeros((n, out_c, do, ho, width), dtype=x.dtype)
+        gy[..., :wo] = grad_out
+    gy = gy.reshape(n, out_c, -1)
+    grad_w = np.empty_like(weights)
+    for dz, dy, cols in rows:
+        gw = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
+        grad_w[:, :, dz, dy] = gw.reshape(out_c, kw, in_c).transpose(0, 2, 1)
+        if strided:
+            gcols = np.matmul(wcols[dz, dy], gy).reshape(n, kw, in_c, do, ho, wo)
             for dx in range(kw):
-                sl = (
-                    slice(None),
-                    slice(None),
-                    slice(dz, dz + sd * do, sd),
-                    slice(dy, dy + sh * ho, sh),
-                    slice(dx, dx + sw * wo, sw),
-                )
-                xs = xp[sl].reshape(n, spec.in_channels, svox)
-                grad_w[:, :, dz, dy, dx] = np.matmul(
-                    gyf, xs.transpose(0, 2, 1)).sum(axis=0)
-                grad_xp[sl] += (weights[:, :, dz, dy, dx].T @ gyf).reshape(
-                    n, spec.in_channels, do, ho, wo
-                )
-    pd, ph, pw = spec.pad
-    d, h, w = x.shape[2:]
-    grad_x = grad_xp[:, :, pd:pd + d, ph:ph + h, pw:pw + w]
-    if pd or ph or pw:
-        grad_x = np.ascontiguousarray(grad_x)
-    grad_b = gyf.sum(axis=(0, 2))
+                # fixed tap -> injective output-to-voxel map, slice add is safe
+                grad_xp[:, :, dz:dz + sd * do:sd, dy:dy + sh * ho:sh,
+                        dx:dx + sw * wo:sw] += gcols[:, dx]
+    if strided:
+        pd, ph, pw = spec.pad
+        d, h, w = x.shape[2:]
+        grad_x = grad_xp[:, :, pd:pd + d, ph:ph + h, pw:pw + w]
+        if pd or ph or pw:
+            grad_x = np.ascontiguousarray(grad_x)
+    grad_b = grad_out.reshape(n, out_c, -1).sum(axis=(0, 2))
     return grad_x, grad_w, grad_b
 
 
 def _pool_geometry(shape, window, stride, padding):
+    if padding not in (SAME, VALID):
+        raise ShapeError(f"maxpool3d: padding must be 'same' or 'valid', got {padding!r}")
     pad = tuple((k - 1) // 2 for k in window) if padding == SAME else (0, 0, 0)
     out = []
     for ax, (nn, k, s, p) in enumerate(zip(shape, window, stride, pad)):
@@ -181,65 +269,103 @@ def _pool_geometry(shape, window, stride, padding):
     return tuple(out), pad
 
 
-def maxpool3d(x, window=(2, 2, 2), stride=(2, 2, 2), padding=VALID):
-    """Max pooling; returns (pooled, argmax offsets) for exact backward routing.
+def _tap_slices(axis, t, n, s, p, m):
+    """Index tuples of the outputs whose tap t lands inside an input extent
+    n, and of the input voxels it lands on; None when there are none."""
+    lo = max(0, -((t - p) // s))
+    hi = min(m, (n - 1 + p - t) // s + 1)
+    if hi <= lo:
+        return None
+    lead = (slice(None),) * axis
+    return lead + (slice(lo, hi),), lead + (slice(lo * s - p + t, (hi - 1) * s - p + t + 1, s),)
 
-    Valid mode requires each spatial extent to tile exactly (even extents
-    for the default 2-cube); Same mode pads with -inf so border maxima
-    come only from real voxels.
+
+def _max_pass(x, axis, k, s, p, m):
+    """1-D max over k taps along axis; returns (max, winning tap as int8)."""
+    shape = x.shape[:axis] + (m,) + x.shape[axis + 1:]
+    out = np.full(shape, -np.inf, dtype=x.dtype)
+    tap = np.zeros(shape, dtype=np.int8)
+    better = np.empty(shape, dtype=bool)
+    bits = np.dtype(f"i{x.dtype.itemsize}")
+    for t in range(k):
+        sl = _tap_slices(axis, t, x.shape[axis], s, p, m)
+        if sl is None:
+            continue
+        o, i = sl
+        xs, dst, b = x[i], out[o], better[o]
+        if t == 0:
+            # out is still -inf here: every x wins except NaN and -inf
+            np.fmax(xs, -np.inf, out=dst)
+            continue
+        np.greater(xs, dst, out=b)
+        # select xs where better by xor-ing bit patterns: np.where and masked
+        # copies branch per voxel and mispredict on the mixed masks of ReLU
+        # outputs, which made them several times slower
+        flip = xs.view(bits) ^ dst.view(bits)
+        flip &= -b.view(np.int8)
+        dst_bits = dst.view(bits)
+        dst_bits ^= flip
+        # a later winner has the larger tap, so the last one to win is the max
+        np.maximum(tap[o], b.view(np.int8) * np.int8(t), out=tap[o])
+    return out, tap
+
+
+def _max_pass_backward(g, tap, axis, k, s, p, n):
+    """Adjoint of _max_pass: add each gradient to the voxel of its winning tap."""
+    grad = np.zeros(g.shape[:axis] + (n,) + g.shape[axis + 1:], dtype=g.dtype)
+    for t in range(k):
+        sl = _tap_slices(axis, t, n, s, p, g.shape[axis])
+        if sl is None:
+            continue
+        o, i = sl
+        # fixed tap -> injective output-to-voxel map, slice add is safe
+        grad[i] += g[o] * (tap[o] == t)
+    return grad
+
+
+def maxpool3d(x, window=(2, 2, 2), stride=(2, 2, 2), padding=VALID):
+    """Max pooling; returns (pooled, route), the route being what
+    maxpool3d_backward needs to send each gradient to its window's winner.
+
+    The pool runs as three 1-D passes, width, then height, then depth. Each
+    keeps the first strict maximum, so ties go to the first tap in raster
+    (depth, height, width) order, a NaN never wins, and a window with no
+    value above -inf pools to -inf. The route is a tuple of three int8
+    arrays, one per pass, holding the winning tap along that pass's axis;
+    callers treat it as opaque. Valid mode requires each spatial extent to
+    tile exactly (even extents for the default 2-cube); Same mode skips taps
+    beyond the border, so border maxima come only from real voxels.
     """
     x = np.asarray(x)
-    n, c = x.shape[:2]
-    (do, ho, wo), pad = _pool_geometry(x.shape[2:], window, stride, padding)
-    pd, ph, pw = pad
-    if pd or ph or pw:
-        xp = np.pad(
-            x,
-            ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)),
-            constant_values=-np.inf,
-        )
-    else:
-        xp = x
-    kd, kh, kw = window
-    sd, sh, sw = stride
-    out = np.full((n, c, do, ho, wo), -np.inf, dtype=x.dtype)
-    argmax = np.zeros((n, c, do, ho, wo), dtype=np.int32)
-    off = 0
-    for dz in range(kd):
-        for dy in range(kh):
-            for dx in range(kw):
-                xs = xp[:, :, dz:dz + sd * do:sd, dy:dy + sh * ho:sh, dx:dx + sw * wo:sw]
-                better = xs > out
-                np.copyto(out, xs, where=better)
-                argmax[better] = off
-                off += 1
-    return out, argmax
+    if x.ndim != 5:
+        raise ShapeError(f"maxpool3d input must be 5-axis, got ndim={x.ndim}")
+    out_sp, pad = _pool_geometry(x.shape[2:], window, stride, padding)
+    route = []
+    for axis in (4, 3, 2):
+        a = axis - 2
+        x, tap = _max_pass(x, axis, window[a], stride[a], pad[a], out_sp[a])
+        route.append(tap)
+    return x, tuple(route)
 
 
 def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 2, 2),
                        padding=VALID):
-    """Route each output gradient to the voxel that won its window."""
+    """Route each output gradient to the voxel that won its window.
+
+    argmax is the route maxpool3d returned; the three 1-D adjoints run in
+    reverse pass order (depth, height, width).
+    """
     grad_out = np.asarray(grad_out)
-    (do, ho, wo), pad = _pool_geometry(in_shape[2:], window, stride, padding)
-    pd, ph, pw = pad
-    kd, kh, kw = window
-    sd, sh, sw = stride
-    padded = (in_shape[0], in_shape[1], in_shape[2] + 2 * pd,
-              in_shape[3] + 2 * ph, in_shape[4] + 2 * pw)
-    grad_xp = np.zeros(padded, dtype=grad_out.dtype)
-    off = 0
-    for dz in range(kd):
-        for dy in range(kh):
-            for dx in range(kw):
-                # fixed offset -> injective window-to-voxel map, slice add is safe
-                grad_xp[:, :, dz:dz + sd * do:sd, dy:dy + sh * ho:sh,
-                        dx:dx + sw * wo:sw] += grad_out * (argmax == off)
-                off += 1
-    if pd or ph or pw:
-        return np.ascontiguousarray(
-            grad_xp[:, :, pd:pd + in_shape[2], ph:ph + in_shape[3], pw:pw + in_shape[4]]
-        )
-    return grad_xp
+    in_shape = tuple(in_shape)
+    if len(in_shape) != 5:
+        raise ShapeError(f"maxpool3d_backward: in_shape must be 5-axis, got {in_shape}")
+    out_sp, pad = _pool_geometry(in_shape[2:], window, stride, padding)
+    _check_frame("maxpool3d_backward: grad_out", grad_out.shape, in_shape[:2] + out_sp)
+    g = grad_out
+    for axis, tap in zip((2, 3, 4), reversed(argmax)):
+        a = axis - 2
+        g = _max_pass_backward(g, tap, axis, window[a], stride[a], pad[a], in_shape[axis])
+    return g
 
 
 def upsample_nearest(x, factor=2):

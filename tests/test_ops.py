@@ -190,6 +190,30 @@ class TestMaxPool:
         assert y.shape == x.shape
         assert np.all(y >= x)  # window contains the voxel itself
 
+    def test_backward_rejects_wrongly_shaped_grad(self):
+        x = rng(17).standard_normal((1, 2, 4, 4, 4))
+        _, route = ops.maxpool3d(x)
+        with pytest.raises(ShapeError) as err:
+            ops.maxpool3d_backward(np.ones((1, 2, 2, 2, 1)), route, x.shape)
+        assert err.value.axis == "width" and "width" in str(err.value)
+
+    def test_backward_channel_mismatch_names_axis(self):
+        x = rng(18).standard_normal((1, 2, 4, 4, 4))
+        _, route = ops.maxpool3d(x)
+        with pytest.raises(ShapeError) as err:
+            ops.maxpool3d_backward(np.ones((1, 3, 2, 2, 2)), route, x.shape)
+        assert err.value.axis == "channel" and "channel" in str(err.value)
+
+    def test_four_axis_input_rejected(self):
+        with pytest.raises(ShapeError):
+            ops.maxpool3d(np.zeros((2, 4, 4, 4)))
+
+    def test_unknown_padding_rejected(self):
+        x = np.zeros((1, 1, 4, 4, 4))
+        with pytest.raises(ShapeError) as err:
+            ops.maxpool3d(x, (3, 3, 3), (1, 1, 1), "full")
+        assert "full" in str(err.value)
+
 
 class TestUpsample:
     def test_pool_of_upsample_is_identity(self):
@@ -332,3 +356,154 @@ def test_concat_backward_splits_exactly(channels, seed):
     back = ops.concat_channels_backward(y, channels)
     for p, b in zip(parts, back):
         assert np.array_equal(p, b)
+
+
+# ---------------------------------------------------------------------------
+# properties against naive references: a per-window loop for the pool and an
+# f64 per-offset loop for the conv, written independently of ops' kernels
+
+
+def _pool_ref(x, window, stride, padding):
+    """Per-window loop: the first tap in raster order that beats the running
+    maximum (from -inf, compared with >) wins. Returns (pooled, winner), the
+    winner a flat input index, or -1 when no voxel beats -inf and tap 0 lies
+    outside the input."""
+    n, c = x.shape[:2]
+    pad = [(k - 1) // 2 if padding == SAME else 0 for k in window]
+    out_sp = [(e + 2 * p - k) // s + 1 for e, k, s, p in zip(x.shape[2:], window, stride, pad)]
+    y = np.empty((n, c, *out_sp), dtype=x.dtype)
+    win = np.empty(y.shape, dtype=np.int64)
+    for b, ch, z, v, u in np.ndindex(*y.shape):
+        best, at = x.dtype.type(-np.inf), None
+        for tz, ty, tx in np.ndindex(*window):
+            pos = (z * stride[0] - pad[0] + tz, v * stride[1] - pad[1] + ty,
+                   u * stride[2] - pad[2] + tx)
+            inside = all(0 <= q < e for q, e in zip(pos, x.shape[2:]))
+            if at is None:
+                at = pos if inside else -1  # tap 0 wins unless beaten
+            if inside and x[(b, ch) + pos] > best:
+                best, at = x[(b, ch) + pos], pos
+        y[b, ch, z, v, u] = best
+        win[b, ch, z, v, u] = -1 if at == -1 else np.ravel_multi_index((b, ch) + at, x.shape)
+    return y, win
+
+
+POOL_GEOMETRIES = [((2, 2, 2), (2, 2, 2), VALID), ((2, 2, 2), (1, 1, 1), VALID),
+                   ((3, 3, 3), (1, 1, 1), SAME), ((3, 3, 3), (1, 1, 1), VALID),
+                   ((3, 3, 3), (2, 2, 2), SAME), ((3, 3, 3), (2, 2, 2), VALID)]
+# ReLU zeros of both signs, repeats, infinities and NaN
+POOL_VALUES = np.array([0.0, 0.0, -0.0, 1.0, 1.0, 2.5, -1.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(POOL_GEOMETRIES), dtype=st.sampled_from([np.float32, np.float64]),
+       n=st.integers(1, 2), c=st.integers(1, 2),
+       outs=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2 ** 16))
+def test_pool_matches_per_window_loop(geometry, dtype, n, c, outs, seed):
+    window, stride, padding = geometry
+    pad = [(k - 1) // 2 if padding == SAME else 0 for k in window]
+    extents = tuple((m - 1) * s + k - 2 * p for m, k, s, p in zip(outs, window, stride, pad))
+    g = np.random.default_rng(seed)
+    x = g.choice(POOL_VALUES, size=(n, c) + extents).astype(dtype)
+    y, route = ops.maxpool3d(x, window, stride, padding)
+    y_ref, winner = _pool_ref(x, window, stride, padding)
+    assert y.dtype == x.dtype and y.tobytes() == y_ref.tobytes()
+    # distinct integer gradients: sums are exact in any order, so each one
+    # must land on its window's winner bit for bit
+    grad = g.integers(1, 2 ** 20, size=y.shape).astype(dtype)
+    gx = ops.maxpool3d_backward(grad, route, x.shape, window, stride, padding)
+    gx_ref = np.zeros(x.size, dtype=dtype)
+    np.add.at(gx_ref, winner[winner >= 0], grad[winner >= 0])
+    assert gx.tobytes() == gx_ref.reshape(x.shape).tobytes()
+
+
+def _conv_ref(x, w, b, grad, spec):
+    """f64 per-offset loop: forward, and the three gradients against grad."""
+    x, w, b = (np.asarray(a, dtype=np.float64) for a in (x, w, b))
+    pad = spec.pad
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pad))
+    out_sp = spec.out_spatial(x.shape[2:])
+    y = np.zeros((x.shape[0], spec.out_channels) + out_sp)
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for off in np.ndindex(*spec.kernel):
+        sl = (slice(None), slice(None)) + tuple(
+            slice(o, o + s * m, s) for o, s, m in zip(off, spec.stride, out_sp))
+        y += np.einsum("oi,nidhw->nodhw", w[(slice(None), slice(None)) + off], xp[sl])
+        gw[(slice(None), slice(None)) + off] = np.einsum("nodhw,nidhw->oi", grad, xp[sl])
+        gxp[sl] += np.einsum("oi,nodhw->nidhw", w[(slice(None), slice(None)) + off], grad)
+    crop = (slice(None), slice(None)) + tuple(
+        slice(p, p + e) for p, e in zip(pad, x.shape[2:]))
+    return y + b[None, :, None, None, None], gxp[crop], gw, grad.sum(axis=(0, 2, 3, 4))
+
+
+def _rel(a, ref):
+    return np.abs(a - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([1, 3, 5, 7]), s=st.sampled_from([1, 2]),
+       padding=st.sampled_from([SAME, VALID]), n=st.integers(1, 2),
+       in_c=st.integers(1, 4), out_c=st.integers(1, 4),
+       extra=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+       seed=st.integers(0, 2 ** 16))
+def test_conv_matches_per_offset_loop(k, s, padding, n, in_c, out_c, extra, seed):
+    spec = ConvSpec(in_c, out_c, (k, k, k), (s, s, s), padding)
+    extents = tuple((k if padding == VALID else 1) + e for e in extra)
+    g = np.random.default_rng(seed)
+    x = np.maximum(g.standard_normal((n, in_c) + extents), 0.0)  # ReLU zeros
+    w = g.standard_normal(spec.weight_shape())
+    b = g.standard_normal(out_c)
+    grad = g.standard_normal((n, out_c) + spec.out_spatial(extents))
+    y_ref, gx_ref, gw_ref, gb_ref = _conv_ref(x, w, b, grad, spec)
+    y = ops.conv3d(x, w, b, spec)
+    gx, gw, gb = ops.conv3d_backward(x, w, grad, spec)
+    for got, ref in ((y, y_ref), (gx, gx_ref), (gw, gw_ref), (gb, gb_ref)):
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert _rel(got, ref) <= 1e-12
+
+
+class TestStructuralZeros:
+    """Direct summation keeps a weight tap that meets no live voxel exactly
+    inert, which the model gradcheck relies on. An FFT kernel does not: its
+    rounding turns these exact zeros into noise."""
+
+    spec = ConvSpec(2, 3, (7, 7, 7))
+    voxel = (1, 0, 2)
+
+    def setup_method(self):
+        g = rng(19)
+        self.x = np.zeros((1, 2, 4, 4, 4))
+        self.x[(0, 0) + self.voxel] = 1.7       # channel 0: one nonzero voxel
+        self.x[0, 1] = g.standard_normal((4, 4, 4))
+        self.w = g.standard_normal(self.spec.weight_shape())
+        self.grad = g.standard_normal((1, 3, 4, 4, 4))
+        self.grad[:, :, 2:] = 0.0                 # a zero slab of grad_out
+
+    def _expected_channel0_grad(self):
+        # tap t pairs the voxel with output voxel - t + pad, when that is inside
+        expect = np.zeros((3,) + self.spec.kernel)
+        for t in np.ndindex(*self.spec.kernel):
+            p = tuple(v - tt + 3 for v, tt in zip(self.voxel, t))
+            if all(0 <= q < 4 for q in p):
+                expect[(slice(None),) + t] = self.grad[(0, slice(None)) + p] * 1.7
+        return expect
+
+    def test_unpaired_taps_get_exact_zero_gradient(self):
+        _, gw, _ = ops.conv3d_backward(self.x, self.w, self.grad, self.spec)
+        expect = self._expected_channel0_grad()
+        assert (expect == 0).sum() > expect.size // 2
+        assert np.all(gw[:, 0][expect == 0] == 0.0)
+        assert np.array_equal(gw[:, 0], expect)
+
+    def test_perturbing_unpaired_taps_keeps_forward_bits(self):
+        # taps t with voxel - t + pad outside the output pair with nothing
+        t = np.indices(self.spec.kernel)
+        unpaired = np.zeros(self.spec.kernel, dtype=bool)
+        for ax, v in enumerate(self.voxel):
+            unpaired |= (v - t[ax] + 3 < 0) | (v - t[ax] + 3 > 3)
+        w2 = self.w.copy()
+        w2[:, 0][:, unpaired] *= 3.0
+        y1 = ops.conv3d(self.x, self.w, None, self.spec)
+        y2 = ops.conv3d(self.x, w2, None, self.spec)
+        assert unpaired.any() and y1.tobytes() == y2.tobytes()
