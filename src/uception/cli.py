@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -129,6 +130,28 @@ def cmd_phantom(args):
 # train
 
 
+_LOG_HEADER = "# epoch\tlr\ttrain_loss\tval_loss\tsnapshot\n"
+# a resumed run may extend the epoch count; every other setting must match
+_RESUME_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "epochs")
+
+
+def _truncate_log(log_path, epoch_done):
+    """Cut the training log back to the epochs the state file has committed.
+
+    Each epoch appends its log row before it replaces the state file, so a
+    crash between the two leaves a row the resumed run writes again. The
+    header and the rows of epochs up to epoch_done are kept.
+    """
+    with open(log_path, encoding="utf-8") as fh:
+        rows = [line for line in fh if not line.startswith("#")
+                and int(line.split("\t", 1)[0]) <= epoch_done]
+    tmp = f"{log_path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(_LOG_HEADER)
+        fh.writelines(rows)
+    os.replace(tmp, log_path)
+
+
 def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
     """Drive the full training loop; returns a summary dict."""
     os.makedirs(out_dir, exist_ok=True)
@@ -155,9 +178,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
     if resume and os.path.exists(state_path):
         with open(config_snapshot, encoding="utf-8") as fh:
             stored = parse_config(fh.read())
-        for f in ("depth", "levels", "dropout", "lr_max", "lr_min", "cycle_epochs",
-                  "batch", "patch", "seed", "smooth", "min_fg_frac", "snapshots",
-                  "model", "patches_per_epoch", "mode"):
+        for f in _RESUME_FIELDS:
             if getattr(stored, f) != getattr(cfg, f):
                 raise ConfigError(
                     f"resume config mismatch on {f!r}: state has "
@@ -166,12 +187,13 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
         epoch_done, val_history, pending = load_train_state(state_path, model, adam,
                                                             snap)
         start_epoch = epoch_done + 1
+        _truncate_log(log_path, epoch_done)
         echo(f"resuming after epoch {epoch_done}")
     else:
         with open(config_snapshot, "w", encoding="utf-8") as fh:
             fh.write(format_config(cfg))
         with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("# epoch\tlr\ttrain_loss\tval_loss\tsnapshot\n")
+            fh.write(_LOG_HEADER)
 
     def validate_all(m):
         losses = []

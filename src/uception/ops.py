@@ -2,14 +2,18 @@
 
 Convolution is cross-correlation (no kernel flip), summed directly in the
 spatial domain. It runs one (dz, dy) kernel row at a time: the kw shifted
-input slices of the row are copied into one reused (n, kw*in_c, voxels)
-buffer, and one (out_c, kw*in_c) matmul consumes it. Peak scratch memory is
-one padded input plus kw volume copies, not a full im2col matrix, and 1-cube
-kernels read the input directly, without a copy. Direct summation keeps
-structural zeros exact: a weight tap that meets only zero or out-of-range
-voxels gets a gradient of exactly 0.0, and such a tap adds nothing to the
-output. For stride 1 the input gradient is the same row-batched correlation,
-of the gradient with the flipped, channel-transposed kernel.
+input slices of the row are stacked into one (n, kw*in_c, voxels) matrix,
+and one (out_c, kw*in_c) matmul consumes it. For stride 1 the rows run
+dy-major: each (dy, dx) slice is copied once across all do+kd-1 padded
+depth planes, and the kd rows of that dy are views of the one buffer at
+depth offsets dz. Peak scratch memory is one padded input plus that buffer,
+kw*in_c*(do+kd-1)*ho*width values per batch item with width the padded
+width, not a full im2col matrix, and 1-cube kernels read the input
+directly, without a copy. Direct summation keeps structural zeros exact: a
+weight tap that meets only zero or out-of-range voxels gets a gradient of
+exactly 0.0, and such a tap adds nothing to the output. For stride 1 the
+input gradient is the same row-batched correlation, of the gradient with
+the flipped, channel-transposed kernel.
 
 Max pooling runs as three 1-D passes (width, then height, then depth) and
 records the winning tap of each pass; see ``maxpool3d``.
@@ -114,12 +118,20 @@ def _rows(x, pad, kernel, stride, out_spatial):
 
     Returns (width, rows): rows yields (dz, dy, cols) for each kernel row,
     where cols is (n, kw*c, voxels), the kw input slices of the row shifted
-    by dx and stacked tap-major along the channel axis, in one buffer reused
-    for every row. The voxels run over a (do, ho, width) grid. For stride 1
-    the grid is wide: each output row runs on over the kw-1 padded columns
-    after it, so width is the padded width and every slice is one contiguous
-    run per plane; no output uses the columns past wo. With kw == 1 and no
-    padding, cols is a view of x.
+    by dx and stacked tap-major along the channel axis. The voxels run over
+    a (do, ho, width) grid. For stride 1 the grid is wide: each output row
+    runs on over the kw-1 padded columns after it, so width is the padded
+    width and every slice is one contiguous run per plane; no output uses
+    the columns past wo.
+
+    Stride-1 rows come dy-major and share the depth axis. For each (dy, dx)
+    the shifted slice is copied once across all do+kd-1 padded planes into
+    one (n, kw, c, do+kd-1, ho*width) buffer, so the kd rows of that dy are
+    views of it at depth offsets dz, with a uniform row stride that matmul
+    reads without a copy. Its scratch is kw*c*(do+kd-1)*ho*width values per
+    batch item. Strided rows come dz-major, copied into one reused buffer
+    of kw*c*do*ho*wo values per batch item. With kw == 1 and no padding,
+    cols is a view of x.
     """
     n, c = x.shape[:2]
     kd, kh, kw = kernel
@@ -131,9 +143,9 @@ def _rows(x, pad, kernel, stride, out_spatial):
         width = xp.shape[4]
         planes = xp.reshape(n, c, xp.shape[2], -1)
 
-        def taps(dz, dy, dx):
+        def taps(dz, dy, dx, span=do):
             start = dy * width + dx
-            return planes[:, :, dz:dz + do, start:start + ho * width]
+            return planes[:, :, dz:dz + span, start:start + ho * width]
     else:
         xp = _pad_input(x, pad)
         width = wo
@@ -146,6 +158,15 @@ def _rows(x, pad, kernel, stride, out_spatial):
             for dz in range(kd):
                 for dy in range(kh):
                     yield dz, dy, taps(dz, dy, 0).reshape(n, c, -1)
+            return
+        if stride == (1, 1, 1):
+            depth = do + kd - 1
+            buf = np.empty((n, kw, c, depth, ho * width), dtype=x.dtype)
+            for dy in range(kh):
+                for dx in range(kw):
+                    buf[:, dx] = taps(0, dy, dx, depth)
+                for dz in range(kd):
+                    yield dz, dy, buf[:, :, :, dz:dz + do].reshape(n, kw * c, -1)
             return
         buf = np.empty((n, kw, c) + taps(0, 0, 0).shape[2:], dtype=x.dtype)
         for dz in range(kd):

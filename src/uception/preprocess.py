@@ -62,11 +62,6 @@ def resample_trilinear(volume, target_spacing=(1.0, 1.0, 1.0)):
     return Volume(out.astype(np.float32), target)
 
 
-def clip_percentile_value(data, percentile):
-    """Sort-free percentile with linear interpolation (numpy convention)."""
-    return float(np.percentile(data, percentile))
-
-
 def clip_normalize(volume, clip_percentile=99.9):
     """Clip the bright tail at the given percentile, then divide by the
     post-clip maximum so the output lies in [0, 1] with max exactly 1.
@@ -83,7 +78,7 @@ def clip_normalize(volume, clip_percentile=99.9):
         warnings.warn("all-zero volume left unnormalized", AllZeroVolumeWarning,
                       stacklevel=2)
         return Volume(data.copy(), volume.spacing)
-    ceiling = np.float32(clip_percentile_value(data, clip_percentile))
+    ceiling = np.float32(np.percentile(data, clip_percentile))
     clipped = np.minimum(data, ceiling)
     peak = clipped.max()
     return Volume(clipped / peak, volume.spacing)

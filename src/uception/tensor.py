@@ -27,14 +27,6 @@ def dtype_for_mode(mode):
         raise ShapeError(f"unknown numeric mode {mode!r}; expected 'f32' or 'f64'") from None
 
 
-def mode_for_dtype(dtype):
-    dtype = np.dtype(dtype)
-    for name, dt in _MODES.items():
-        if dt == dtype:
-            return name
-    raise ShapeError(f"unsupported dtype {dtype}; expected float32 or float64")
-
-
 def as_tensor5(x, dtype=None):
     """Validate and return a contiguous 5-axis array.
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from uception import cli
 from uception.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -51,6 +52,20 @@ def write_config(tmp_path, epochs=2, mode="f32"):
     path = tmp_path / "train.cfg"
     path.write_text(TINY_CONFIG.format(epochs=epochs, mode=mode))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def full_f64_run(tmp_path_factory, tiny_data):
+    """Output directory of an uninterrupted 4-epoch f64 training run."""
+    tmp = tmp_path_factory.mktemp("full")
+    out = tmp / "run"
+    assert main(["train", "--config", write_config(tmp, epochs=4, mode="f64"),
+                 "--data", tiny_data, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def same_bytes(dir_a, dir_b, name):
+    return (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
 class TestParserDefaults:
@@ -124,29 +139,54 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
-    def test_resume_equals_uninterrupted_in_f64(self, tmp_path, tiny_data):
-        full = tmp_path / "full"
-        assert main(["train", "--config", write_config(tmp_path, epochs=4, mode="f64"),
-                     "--data", tiny_data, "--out", str(full)]) == EXIT_OK
+    def test_resume_equals_uninterrupted_in_f64(self, tmp_path, tiny_data, full_f64_run):
         split = tmp_path / "split"
         assert main(["train", "--config", write_config(tmp_path, epochs=2, mode="f64"),
                      "--data", tiny_data, "--out", str(split)]) == EXIT_OK
         assert main(["train", "--config", write_config(tmp_path, epochs=4, mode="f64"),
                      "--data", tiny_data, "--out", str(split), "--resume"]) == EXIT_OK
-        with open(full / "model_last.ucpt", "rb") as f1, \
-                open(split / "model_last.ucpt", "rb") as f2:
-            assert f1.read() == f2.read()
+        assert same_bytes(full_f64_run, split, "model_last.ucpt")
 
-    def test_resume_with_changed_config_rejected(self, tmp_path, tiny_data):
+    def test_resume_after_crash_before_state_save(self, tmp_path, tiny_data,
+                                                  full_f64_run, monkeypatch):
+        # epoch 1 has appended its log row but dies before its state is saved
+        class Crash(Exception):
+            pass
+
+        save = cli.save_train_state
+
+        def crash_on_epoch_1(path, model, adam, epoch_done, *rest):
+            if epoch_done == 1:
+                raise Crash
+            save(path, model, adam, epoch_done, *rest)
+
+        monkeypatch.setattr(cli, "save_train_state", crash_on_epoch_1)
+        config = write_config(tmp_path, epochs=4, mode="f64")
+        out = tmp_path / "crashed"
+        with pytest.raises(Crash):
+            main(["train", "--config", config, "--data", tiny_data, "--out", str(out)])
+        monkeypatch.undo()
+        assert main(["train", "--config", config, "--data", tiny_data,
+                     "--out", str(out), "--resume"]) == EXIT_OK
+        assert same_bytes(full_f64_run, out, "train_log.tsv")
+        assert same_bytes(full_f64_run, out, "model_last.ucpt")
+
+    def test_resume_with_changed_config_rejected(self, tmp_path, tiny_data, capsys):
         out = tmp_path / "rc"
         assert main(["train", "--config", write_config(tmp_path, epochs=2),
                      "--data", tiny_data, "--out", str(out)]) == EXIT_OK
+        stored = TINY_CONFIG.format(epochs=4, mode="f32")
         other = tmp_path / "other.cfg"
-        other.write_text(TINY_CONFIG.format(epochs=4, mode="f32").replace(
-            "depth = 2", "depth = 3"))
-        code = main(["train", "--config", str(other), "--data", tiny_data,
-                     "--out", str(out), "--resume"])
-        assert code == EXIT_CONFIG
+        for field, old, new in (("depth", "depth = 2", "depth = 3"),
+                                ("mode", "mode = f32", "mode = f64"),
+                                ("patches_per_epoch", "patches_per_epoch = 4",
+                                 "patches_per_epoch = 6")):
+            other.write_text(stored.replace(old, new))
+            capsys.readouterr()
+            code = main(["train", "--config", str(other), "--data", tiny_data,
+                         "--out", str(out), "--resume"])
+            assert code == EXIT_CONFIG, field
+            assert repr(field) in capsys.readouterr().err
 
 
 class TestSegmentCommand:

@@ -1,5 +1,7 @@
 """Primitive layer semantics: forward examples, exact backward adjoints,
 finite-difference oracles, shape algebra."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,40 @@ class TestConv3dBackward:
         with pytest.raises(ShapeError):
             ops.conv3d_backward(x, np.zeros(spec.weight_shape()),
                                 np.zeros((1, 1, 5, 5, 5)), spec)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestConvScratchMemory:
+    """Peak allocation of one float32 conv call at the desk's largest
+    stride-1 shapes (batch 2, 16-cube). The stride-1 kernel keeps one
+    depth-extended row buffer of kw*c*(d+kd-1)*ho*width values per batch
+    item; an im2col matrix of kd*kh*kw*c*d*h*w values would be 7 times
+    (3-cube) to 26 times (7-cube) that size."""
+
+    MARGIN = 1.10  # measured peak plus 10 %
+
+    @pytest.mark.parametrize("in_c, out_c, k, fwd_mb, bwd_mb", [
+        (33, 16, 3, 6.97, 7.49),  # U-net 3D, widest level-0 conv
+        (4, 4, 5, 1.63, 1.63),    # Uception 5-cube branch, level 0
+        (4, 4, 7, 2.48, 2.48),    # Uception 7-cube branch, level 0
+    ])
+    def test_peak_stays_near_measured(self, in_c, out_c, k, fwd_mb, bwd_mb):
+        g = rng(9)
+        spec = ConvSpec(in_c, out_c, (k, k, k))
+        x = g.standard_normal((2, in_c, 16, 16, 16)).astype(np.float32)
+        w = g.standard_normal(spec.weight_shape()).astype(np.float32)
+        grad = g.standard_normal((2, out_c, 16, 16, 16)).astype(np.float32)
+        assert _peak_bytes(ops.conv3d, x, w, None, spec) <= fwd_mb * 1e6 * self.MARGIN
+        assert (_peak_bytes(ops.conv3d_backward, x, w, grad, spec)
+                <= bwd_mb * 1e6 * self.MARGIN)
 
 
 class TestMaxPool:
