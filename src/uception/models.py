@@ -343,20 +343,29 @@ def _conv_param_count(specs):
 
 def match_unet_widths(cfg: UceptionCfg, target_params):
     """Pick (width, bottleneck_width) whose parameter count lands nearest
-    the target; the bottleneck width is the fine-tuning knob."""
-    best = None
+    the target; the bottleneck width is the fine-tuning knob.
+
+    The count rises strictly in both widths, so a scan stops once the count
+    is past the target by the best error so far: no later pair can beat it,
+    and ties never replace the first pair found.
+    """
+    def count(w, wb):
+        return _conv_param_count(_unet_conv_geometry(cfg, w, wb))
+
+    best = None  # (error, width, bottleneck width)
     for w in range(1, 257):
         nominal = w * 2 ** cfg.levels
         lo = max(1, nominal // 2)
         hi = max(lo + 1, nominal * 2)
-        for wb in range(lo, hi + 1):
-            n = _conv_param_count(_unet_conv_geometry(cfg, w, wb))
-            err = abs(n - target_params)
-            if best is None or err < best[0]:
-                best = (err, w, wb, n)
-        if best is not None and best[3] > 4 * target_params:
+        if best is not None and count(w, lo) - target_params >= best[0]:
             break
-    _, w, wb, _ = best
+        for wb in range(lo, hi + 1):
+            err = count(w, wb) - target_params
+            if best is None or abs(err) < best[0]:
+                best = (abs(err), w, wb)
+            elif err >= best[0]:
+                break
+    _, w, wb = best
     return w, wb
 
 

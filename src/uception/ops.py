@@ -15,8 +15,11 @@ exactly 0.0, and such a tap adds nothing to the output. For stride 1 the
 input gradient is the same row-batched correlation, of the gradient with
 the flipped, channel-transposed kernel.
 
-Max pooling runs as three 1-D passes (width, then height, then depth) and
-records the winning tap of each pass; see ``maxpool3d``.
+Max pooling runs as three 1-D passes (width, then height, then depth). The
+forward computes values only and returns its input as the route; the
+backward runs the passes again on that input, recording the winning tap of
+each, then routes the gradient. The input must therefore not be modified
+between the two; see ``maxpool3d``.
 
 All functions are pure: they allocate their outputs and never mutate
 arguments. Dropout takes an explicit seed or Generator.
@@ -301,34 +304,43 @@ def _tap_slices(axis, t, n, s, p, m):
     return lead + (slice(lo, hi),), lead + (slice(lo * s - p + t, (hi - 1) * s - p + t + 1, s),)
 
 
-def _max_pass(x, axis, k, s, p, m):
-    """1-D max over k taps along axis; returns (max, winning tap as int8)."""
+def _max_pass(x, axis, k, s, p, m, record):
+    """1-D max over k taps along axis of a NaN-free x; returns (max, tap),
+    tap being the winning tap as int8 when record is set, else None.
+
+    The running max starts at -inf, and each tap's slice goes through
+    np.maximum(slice, running, out=running), which keeps the running value
+    on ties, ±0 included, so the first strict maximum wins.
+    """
     shape = x.shape[:axis] + (m,) + x.shape[axis + 1:]
     out = np.full(shape, -np.inf, dtype=x.dtype)
-    tap = np.zeros(shape, dtype=np.int8)
-    better = np.empty(shape, dtype=bool)
-    bits = np.dtype(f"i{x.dtype.itemsize}")
+    tap = np.zeros(shape, dtype=np.int8) if record else None
+    better = np.empty(shape, dtype=bool) if record else None
     for t in range(k):
         sl = _tap_slices(axis, t, x.shape[axis], s, p, m)
         if sl is None:
             continue
         o, i = sl
-        xs, dst, b = x[i], out[o], better[o]
-        if t == 0:
-            # out is still -inf here: every x wins except NaN and -inf
-            np.fmax(xs, -np.inf, out=dst)
-            continue
-        np.greater(xs, dst, out=b)
-        # select xs where better by xor-ing bit patterns: np.where and masked
-        # copies branch per voxel and mispredict on the mixed masks of ReLU
-        # outputs, which made them several times slower
-        flip = xs.view(bits) ^ dst.view(bits)
-        flip &= -b.view(np.int8)
-        dst_bits = dst.view(bits)
-        dst_bits ^= flip
-        # a later winner has the larger tap, so the last one to win is the max
-        np.maximum(tap[o], b.view(np.int8) * np.int8(t), out=tap[o])
+        xs, dst = x[i], out[o]
+        if record and t:
+            b = better[o]
+            np.greater(xs, dst, out=b)
+            # a later winner has the larger tap, so the last one to win is the max
+            np.maximum(tap[o], b.view(np.int8) * np.int8(t), out=tap[o])
+        np.maximum(xs, dst, out=dst)
     return out, tap
+
+
+def _max_passes(x, window, stride, pad, out_sp, record):
+    """The three 1-D passes (width, height, depth); returns (pooled, taps),
+    taps holding each pass's tap array in pass order."""
+    x = np.fmax(x, -np.inf)  # a NaN pools as -inf, so it never wins
+    taps = []
+    for axis in (4, 3, 2):
+        a = axis - 2
+        x, tap = _max_pass(x, axis, window[a], stride[a], pad[a], out_sp[a], record)
+        taps.append(tap)
+    return x, taps
 
 
 def _max_pass_backward(g, tap, axis, k, s, p, n):
@@ -351,39 +363,39 @@ def maxpool3d(x, window=(2, 2, 2), stride=(2, 2, 2), padding=VALID):
     The pool runs as three 1-D passes, width, then height, then depth. Each
     keeps the first strict maximum, so ties go to the first tap in raster
     (depth, height, width) order, a NaN never wins, and a window with no
-    value above -inf pools to -inf. The route is a tuple of three int8
-    arrays, one per pass, holding the winning tap along that pass's axis;
-    callers treat it as opaque. Valid mode requires each spatial extent to
-    tile exactly (even extents for the default 2-cube); Same mode skips taps
-    beyond the border, so border maxima come only from real voxels.
+    value above -inf pools to -inf. The forward computes values only: the
+    route is x itself, not a copy, and maxpool3d_backward recomputes the
+    winners from it, so x must not be modified before the backward. Valid
+    mode requires each spatial extent to tile exactly (even extents for the
+    default 2-cube); Same mode skips taps beyond the border, so border
+    maxima come only from real voxels.
     """
     x = np.asarray(x)
     if x.ndim != 5:
         raise ShapeError(f"maxpool3d input must be 5-axis, got ndim={x.ndim}")
     out_sp, pad = _pool_geometry(x.shape[2:], window, stride, padding)
-    route = []
-    for axis in (4, 3, 2):
-        a = axis - 2
-        x, tap = _max_pass(x, axis, window[a], stride[a], pad[a], out_sp[a])
-        route.append(tap)
-    return x, tuple(route)
+    pooled, _ = _max_passes(x, window, stride, pad, out_sp, record=False)
+    return pooled, x
 
 
 def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 2, 2),
                        padding=VALID):
     """Route each output gradient to the voxel that won its window.
 
-    argmax is the route maxpool3d returned; the three 1-D adjoints run in
-    reverse pass order (depth, height, width).
+    argmax is the route maxpool3d returned, its input. The three passes run
+    again on it, recording each pass's winning tap, and the three 1-D
+    adjoints then run in reverse pass order (depth, height, width).
     """
     grad_out = np.asarray(grad_out)
     in_shape = tuple(in_shape)
     if len(in_shape) != 5:
         raise ShapeError(f"maxpool3d_backward: in_shape must be 5-axis, got {in_shape}")
     out_sp, pad = _pool_geometry(in_shape[2:], window, stride, padding)
+    _check_frame("maxpool3d_backward: route", np.shape(argmax), in_shape)
     _check_frame("maxpool3d_backward: grad_out", grad_out.shape, in_shape[:2] + out_sp)
+    _, taps = _max_passes(np.asarray(argmax), window, stride, pad, out_sp, record=True)
     g = grad_out
-    for axis, tap in zip((2, 3, 4), reversed(argmax)):
+    for axis, tap in zip((2, 3, 4), reversed(taps)):
         a = axis - 2
         g = _max_pass_backward(g, tap, axis, window[a], stride[a], pad[a], in_shape[axis])
     return g

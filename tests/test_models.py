@@ -12,10 +12,13 @@ from uception.models import (
     UceptionCfg,
     UNet3d,
     Uception,
+    _conv_param_count,
+    _unet_conv_geometry,
     build_uception,
     build_unet3d_baseline,
     forward,
     load_checkpoint,
+    match_unet_widths,
     save_checkpoint,
 )
 
@@ -140,6 +143,41 @@ class TestUnetBaseline:
         y = forward(unet, x)
         assert y.shape == (1, 1, 16, 16, 16)
         assert 0.0 < y.min() and y.max() < 1.0
+
+
+def exhaustive_unet_widths(cfg, target):
+    """Count every (width, bottleneck width) pair the matcher may pick at
+    once; the first minimal error in scan order (width, then bottleneck)
+    wins, as ties keep the first pair."""
+    w = np.arange(1, 257, dtype=np.int64)[:, None]
+    nominal = w * 2 ** cfg.levels
+    lo = np.maximum(1, nominal // 2)
+    hi = np.maximum(lo + 1, nominal * 2)
+    wb = np.arange(1, hi.max() + 1, dtype=np.int64)[None, :]
+    err = np.abs(_conv_param_count(_unet_conv_geometry(cfg, w, wb)) - target)
+    err = np.where((wb >= lo) & (wb <= hi), err, np.iinfo(np.int64).max)
+    i, j = np.unravel_index(np.argmin(err), err.shape)
+    return int(w[i, 0]), int(wb[0, j])
+
+
+class TestMatchUnetWidths:
+    def test_desk_and_default_configs_pinned(self):
+        desk = UceptionCfg(base_depth=4, levels=2, dropout_rate=0.18)
+        assert match_unet_widths(desk, Uception(desk).parameter_count()) == (11, 56)
+        default = UceptionCfg()
+        assert match_unet_widths(default, Uception(default).parameter_count()) == (31, 247)
+
+    @pytest.mark.parametrize("depth,levels,in_ch,out_ch", [
+        (2, 1, 1, 1), (4, 2, 1, 1), (3, 2, 2, 3), (5, 1, 1, 2)])
+    def test_matches_exhaustive_scan(self, depth, levels, in_ch, out_ch):
+        cfg = UceptionCfg(base_depth=depth, levels=levels, input_channels=in_ch,
+                          output_channels=out_ch)
+        # one below the smallest pair of width 5 is nearest to that pair,
+        # though its count is already past the target
+        lo5 = max(1, 5 * 2 ** levels // 2)
+        near5 = _conv_param_count(_unet_conv_geometry(cfg, 5, lo5)) - 1
+        for target in (Uception(cfg).parameter_count(), 1, near5, 3_000_000):
+            assert match_unet_widths(cfg, target) == exhaustive_unet_widths(cfg, target)
 
 
 class TestCheckpoint:

@@ -240,6 +240,13 @@ class TestMaxPool:
             ops.maxpool3d_backward(np.ones((1, 3, 2, 2, 2)), route, x.shape)
         assert err.value.axis == "channel" and "channel" in str(err.value)
 
+    def test_backward_rejects_route_of_other_shape(self):
+        x = rng(19).standard_normal((1, 2, 4, 4, 4))
+        y, _ = ops.maxpool3d(x)
+        with pytest.raises(ShapeError) as err:
+            ops.maxpool3d_backward(np.ones(y.shape), y, x.shape)
+        assert err.value.axis == "depth" and "route" in str(err.value)
+
     def test_four_axis_input_rejected(self):
         with pytest.raises(ShapeError):
             ops.maxpool3d(np.zeros((2, 4, 4, 4)))
@@ -249,6 +256,46 @@ class TestMaxPool:
         with pytest.raises(ShapeError) as err:
             ops.maxpool3d(x, (3, 3, 3), (1, 1, 1), "full")
         assert "full" in str(err.value)
+
+
+class TestPoolScratchMemory:
+    """Peak allocation of one float32 pool call at (2, 48, 16-cube), the
+    widest Deep Block input at level 0. The forward keeps values only; the
+    backward recomputes the passes to record each pass's winning taps
+    (three int8 arrays) before routing the gradient."""
+
+    MARGIN = 1.10  # measured peak plus 10 %
+
+    @pytest.mark.parametrize("window, stride, padding, fwd_mb, bwd_mb", [
+        ((3, 3, 3), (1, 1, 1), SAME, 3.25, 7.90),   # Deep Block pooled branch
+        ((2, 2, 2), (2, 2, 2), VALID, 2.36, 3.92),  # Reduction Block, U-net down
+    ])
+    def test_peak_stays_near_measured(self, window, stride, padding, fwd_mb, bwd_mb):
+        g = rng(9)
+        x = g.standard_normal((2, 48, 16, 16, 16)).astype(np.float32)
+        y, route = ops.maxpool3d(x, window, stride, padding)
+        grad = g.standard_normal(y.shape).astype(np.float32)
+        assert (_peak_bytes(ops.maxpool3d, x, window, stride, padding)
+                <= fwd_mb * 1e6 * self.MARGIN)
+        assert (_peak_bytes(ops.maxpool3d_backward, grad, route, x.shape, window, stride,
+                            padding) <= bwd_mb * 1e6 * self.MARGIN)
+
+
+@pytest.mark.parametrize("window, stride, padding", [
+    ((3, 3, 3), (1, 1, 1), SAME), ((2, 2, 2), (2, 2, 2), VALID)])
+def test_pool_leaves_arguments_alone(window, stride, padding):
+    # the route is the caller's input, which the backward reads again
+    g = rng(21)
+    x = g.choice(POOL_VALUES, size=(2, 3, 4, 4, 4)).astype(np.float32)
+    x_bits = x.tobytes()
+    y, route = ops.maxpool3d(x, window, stride, padding)
+    assert route is x and x.tobytes() == x_bits
+    grad = g.standard_normal(y.shape).astype(np.float32)
+    grad_bits = grad.tobytes()
+    gx = ops.maxpool3d_backward(grad, route, x.shape, window, stride, padding)
+    assert x.tobytes() == x_bits and grad.tobytes() == grad_bits
+    again = ops.maxpool3d_backward(grad, route, x.shape, window, stride, padding)
+    assert again.tobytes() == gx.tobytes()
 
 
 class TestUpsample:
@@ -452,6 +499,38 @@ def test_pool_matches_per_window_loop(geometry, dtype, n, c, outs, seed):
     gx_ref = np.zeros(x.size, dtype=dtype)
     np.add.at(gx_ref, winner[winner >= 0], grad[winner >= 0])
     assert gx.tobytes() == gx_ref.reshape(x.shape).tobytes()
+
+
+# window pairs whose winner only the tie rule decides: the first tap must win
+# (np.maximum has to keep the running value on ties, ±0 included), a NaN
+# never wins, and a window with nothing above -inf routes to its tap 0,
+# which lies outside the input at a same-mode border
+TIE_PAIRS = [(-0.0, 0.0), (0.0, -0.0), (np.nan, -np.inf), (-np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window, stride, padding", [
+    ((3, 3, 3), (1, 1, 1), SAME), ((2, 2, 2), (2, 2, 2), VALID)])
+@pytest.mark.parametrize("axis", [2, 3, 4])
+@pytest.mark.parametrize("pair", TIE_PAIRS)
+def test_pool_ties_follow_first_tap(pair, axis, window, stride, padding, dtype):
+    # the pair sits at positions 0 and 1 along axis, every other voxel is -inf
+    extents = [1 if padding == SAME else 2] * 3
+    extents[axis - 2] = 2
+    x = np.full((1, 1, *extents), -np.inf, dtype=dtype)
+    first, second = (0,) * 5, tuple(int(a == axis) for a in range(5))
+    x[first], x[second] = pair
+    y, route = ops.maxpool3d(x, window, stride, padding)
+    y_ref, winner = _pool_ref(x, window, stride, padding)
+    assert y.tobytes() == y_ref.tobytes()
+    if pair[0] == 0.0:
+        assert np.all(np.signbit(y) == np.signbit(pair[0]))
+    grad = (np.arange(1, y.size + 1) * 0.1).astype(dtype).reshape(y.shape)
+    gx = ops.maxpool3d_backward(grad, route, x.shape, window, stride, padding)
+    gx_ref = np.zeros(x.size, dtype=dtype)
+    np.add.at(gx_ref, winner[winner >= 0], grad[winner >= 0])
+    assert gx.tobytes() == gx_ref.reshape(x.shape).tobytes()
+    assert gx[second] == 0.0
 
 
 def _conv_ref(x, w, b, grad, spec):
