@@ -1,5 +1,6 @@
 """Model assembly contracts: shapes, determinism, parameter tallies,
 capacity matching, checkpoint format."""
+import hashlib
 import struct
 
 import numpy as np
@@ -231,3 +232,27 @@ class TestCheckpoint:
         back = load_checkpoint(blob)
         x = np.random.default_rng(11).standard_normal((1, 1, 8, 8, 8))
         assert np.array_equal(forward(model, x), forward(back, x))
+
+
+class TestGoldenCheckpoint:
+    """Pins the exact UCPT bytes and stage order of the desk config, so a
+    change to how the models are assembled cannot move a checkpoint."""
+
+    DESK = UceptionCfg(base_depth=4, levels=2, dropout_rate=0.18)
+
+    @pytest.mark.parametrize("build,size,tensors,sha256,stages", [
+        (build_uception, 858_921, 76,
+         "e055d7be24db7f2529245b711a2a9dad858a0f6b335c8cf71b535a3314f45066",
+         ["stem", "enc0.deep", "enc0.red", "enc1.deep", "enc1.red", "bottleneck.deep",
+          "dec1.deep", "dec0.deep", "head"]),
+        (build_unet3d_baseline, 856_182, 22,
+         "c3ac5cc31497b8cb4e6fe303584a7d0fd80ad0b2c11c69d833ca8af8ba27125c",
+         ["enc0", "enc1", "bottleneck", "dec1", "dec0", "head"]),
+    ])
+    def test_desk_checkpoint_bytes_and_stages(self, build, size, tensors, sha256, stages):
+        model = build(self.DESK, seed=0, dtype=np.float32)
+        blob = save_checkpoint(model)
+        assert len(blob) == size
+        assert len(model.parameters()) == tensors
+        assert hashlib.sha256(blob).hexdigest() == sha256
+        assert [name for name, _ in model._stages] == stages
