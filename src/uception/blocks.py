@@ -12,7 +12,7 @@ import numpy as np
 
 from . import ops
 from .errors import ShapeError
-from .layers import Chain, MaxPool3d, conv_unit
+from .layers import Chain, MaxPool3d, conv_unit, walk
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class ReductionBlockCfg:
 
 
 class _ParallelConcat:
-    """Shared machinery: run branches on one input, concat on channels."""
+    """Shared machinery: run branches on one input, concat on channels.
+    Subclasses set ``name`` and a ``cfg`` with ``in_channels``."""
 
     def __init__(self, branches):
         self.branches = branches  # list of (name, layer)
@@ -51,6 +52,12 @@ class _ParallelConcat:
         return out
 
     def forward(self, x, ctx):
+        if x.shape[1] != self.cfg.in_channels:
+            raise ShapeError(
+                f"{self.name}: input has {x.shape[1]} channels, "
+                f"block expects {self.cfg.in_channels}",
+                axis="channel",
+            )
         outs, caches, widths = [], [], []
         for _, branch in self.branches:
             y, cache = branch.forward(x, ctx)
@@ -93,15 +100,6 @@ class DeepBlock(_ParallelConcat):
             ])),
         ])
 
-    def forward(self, x, ctx):
-        if x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"{self.name}: input has {x.shape[1]} channels, "
-                f"block expects {self.cfg.in_channels}",
-                axis="channel",
-            )
-        return super().forward(x, ctx)
-
 
 class ReductionBlock(_ParallelConcat):
     """Three extent-halving branches: 2-cube max-pool, strided 3-cube
@@ -121,12 +119,6 @@ class ReductionBlock(_ParallelConcat):
         ])
 
     def forward(self, x, ctx):
-        if x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"{self.name}: input has {x.shape[1]} channels, "
-                f"block expects {self.cfg.in_channels}",
-                axis="channel",
-            )
         for ax, ext in zip(("depth", "height", "width"), x.shape[2:]):
             if ext % 2:
                 raise ShapeError(
@@ -160,18 +152,9 @@ def reduction_block(cfg: ReductionBlockCfg, x, ctx=None, rng=None, dtype=None):
 def _init_block(block, rng):
     if rng is None:
         rng = np.random.default_rng(0)
-    for _, branch in block.branches:
-        for layer in _walk(branch):
-            if hasattr(layer, "init_params"):
-                layer.init_params(rng)
-
-
-def _walk(layer):
-    if isinstance(layer, Chain):
-        for sub in layer.layers:
-            yield from _walk(sub)
-    else:
-        yield layer
+    for layer in walk(block):
+        if hasattr(layer, "init_params"):
+            layer.init_params(rng)
 
 
 __all__ = [

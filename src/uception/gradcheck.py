@@ -194,19 +194,15 @@ def _randomize_biases(params, rng):
                 0.05, 0.2, arr.shape)
 
 
-def _block_check(block, in_c, ext, seed=21):
-    rng = np.random.default_rng(seed)
-    _init_block(block, rng)
-    params_all = {}
-    for _, branch in block.branches:
-        params_all.update(branch.parameters())
-    _randomize_biases(params_all, rng)
+def _graph_check(graph, in_c, ext, rng, cap, h, ctx_seed):
+    """Probe a built block or model: biases, then x, then r draw from rng,
+    and every forward replays one train-mode dropout stream (ctx_seed)."""
+    _randomize_biases(graph.parameters(), rng)
     x = _rand((1, in_c, ext, ext, ext), rng)
-    ctx_seed = 31
 
     def run():
         ctx = Context(mode=TRAIN, rng=np.random.default_rng(ctx_seed))
-        return block.forward(x, ctx)
+        return graph.forward(x, ctx)
 
     y0, cache = run()
     r = _rand(y0.shape, rng)
@@ -216,60 +212,35 @@ def _block_check(block, in_c, ext, seed=21):
         return float((y * r).sum())
 
     grads = {}
-    gx = block.backward(r, cache, grads)
-    params = {}
-    for _, branch in block.branches:
-        params.update(branch.parameters())
-    arrays = {"x": x, **params}
+    gx = graph.backward(r, cache, grads)
+    arrays = {"x": x, **graph.parameters()}
     analytic = {"x": gx, **grads}
-    return probe(scalar, arrays, analytic, cap=60)
+    return probe(scalar, arrays, analytic, cap=cap, h=h)
+
+
+def _check_block(block, ext):
+    rng = np.random.default_rng(21)
+    _init_block(block, rng)
+    return _graph_check(block, block.cfg.in_channels, ext, rng, cap=60, h=1e-5, ctx_seed=31)
 
 
 def _check_deep_block():
     cfg = DeepBlockCfg(in_channels=2, branch_depth=2, dropout_rate=0.25)
-    return _block_check(DeepBlock("deep", cfg, dtype=np.float64), 2, 6)
+    return _check_block(DeepBlock("deep", cfg, dtype=np.float64), 6)
 
 
 def _check_reduction_block():
     cfg = ReductionBlockCfg(in_channels=3, branch_depth=2, dropout_rate=0.25)
-    return _block_check(ReductionBlock("red", cfg, dtype=np.float64), 3, 6)
+    return _check_block(ReductionBlock("red", cfg, dtype=np.float64), 6)
 
 
-def _model_check(model, ext, cap=24, ctx_seed=41, data_seed=42):
-    rng = np.random.default_rng(data_seed)
-    _randomize_biases(model.parameters(), rng)
-    x = _rand((1, model.cfg.input_channels, ext, ext, ext), rng)
-
-    def run():
-        ctx = Context(mode=TRAIN, rng=np.random.default_rng(ctx_seed))
-        return model.forward(x, ctx)
-
-    y0, cache = run()
-    r = _rand(y0.shape, rng)
-
-    def scalar():
-        y, _ = run()
-        return float((y * r).sum())
-
-    grads = {}
-    gx = model.backward(r, cache, grads)
-    arrays = {"x": x, **model.parameters()}
-    analytic = {"x": gx, **grads}
+def _check_miniature(build):
+    cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25)
+    model = build(cfg, seed=3, dtype=np.float64)
     # deep stacks shift thousands of downstream pre-activations per probe;
     # a smaller step keeps every probe on one side of the ReLU kinks
-    return probe(scalar, arrays, analytic, cap=cap, h=1e-6)
-
-
-def _check_uception_miniature():
-    cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25)
-    model = build_uception(cfg, seed=3, dtype=np.float64)
-    return _model_check(model, 8)
-
-
-def _check_unet_miniature():
-    cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25)
-    model = build_unet3d_baseline(cfg, seed=3, dtype=np.float64)
-    return _model_check(model, 8)
+    return _graph_check(model, cfg.input_channels, 8, np.random.default_rng(42),
+                        cap=24, h=1e-6, ctx_seed=41)
 
 
 def run_suite(corrupt=None):
@@ -298,8 +269,8 @@ def run_suite(corrupt=None):
         ("soft-dice-smooth1", lambda: _check_soft_dice(1.0), DICE_TOL),
         ("deep-block", _check_deep_block, DEFAULT_TOL),
         ("reduction-block", _check_reduction_block, DEFAULT_TOL),
-        ("uception-miniature", _check_uception_miniature, MODEL_TOL),
-        ("unet3d-miniature", _check_unet_miniature, MODEL_TOL),
+        ("uception-miniature", lambda: _check_miniature(build_uception), MODEL_TOL),
+        ("unet3d-miniature", lambda: _check_miniature(build_unet3d_baseline), MODEL_TOL),
     ]
     results = []
     for name, fn, tol in checks:

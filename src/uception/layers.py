@@ -120,12 +120,11 @@ class MaxPool3d:
         return {}
 
     def forward(self, x, ctx):
-        y, argmax = ops.maxpool3d(x, self.window, self.stride, self.padding)
-        return y, (argmax, x.shape)
+        # the route is the input itself, so it also carries the input shape
+        return ops.maxpool3d(x, self.window, self.stride, self.padding)
 
-    def backward(self, grad_out, cache, grads):
-        argmax, in_shape = cache
-        return ops.maxpool3d_backward(grad_out, argmax, in_shape,
+    def backward(self, grad_out, route, grads):
+        return ops.maxpool3d_backward(grad_out, route, route.shape,
                                       self.window, self.stride, self.padding)
 
 
@@ -166,6 +165,19 @@ class Chain:
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             grad_out = layer.backward(grad_out, cache, grads)
         return grad_out
+
+
+def walk(layer):
+    """Yield the leaf layers under layer in build order, descending into
+    Chain.layers and into the (name, layer) pairs of .branches."""
+    if isinstance(layer, Chain):
+        for sub in layer.layers:
+            yield from walk(sub)
+    elif hasattr(layer, "branches"):
+        for _, branch in layer.branches:
+            yield from walk(branch)
+    else:
+        yield layer
 
 
 def conv_unit(name, in_channels, out_channels, kernel, stride=1, dropout_rate=0.0,

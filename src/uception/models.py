@@ -1,6 +1,6 @@
-"""Whole-network assembly: the Uception encoder-decoder and a plain 3D
-U-net baseline sized to matching capacity, plus the binary checkpoint
-format shared by both.
+"""Whole-network assembly: one U-net encoder-decoder skeleton, the
+Uception and a plain 3D U-net baseline sized to matching capacity built
+on it, plus the binary checkpoint format shared by both.
 
 Checkpoint layout (version 1, all integers little-endian):
 
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
 from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
 from .errors import CheckpointError, ShapeError
-from .layers import Chain, Context, Conv3d, Sigmoid, conv_unit
+from .layers import (Chain, Context, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest,
+                     conv_unit, walk)
 from .ops import SAME, ConvSpec
 from .tensor import as_tensor5
 
@@ -52,19 +52,18 @@ class UceptionCfg:
             raise ShapeError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
-def _walk_layers(layer):
-    if isinstance(layer, Chain):
-        for sub in layer.layers:
-            yield from _walk_layers(sub)
-    elif hasattr(layer, "branches"):
-        for _, branch in layer.branches:
-            yield from _walk_layers(branch)
-    else:
-        yield layer
-
-
 class _ModelBase:
-    """Shared graph plumbing: naming, init, parameter access, divisibility."""
+    """The U-net skeleton both models share, plus naming, init, parameter
+    access and the input checks.
+
+    A subclass constructor builds the parts and registers each stage: an
+    optional ``stem`` (identity otherwise), per encoder level a
+    ``(deep, down)`` pair in ``enc`` whose deep output is that level's skip,
+    a ``bottleneck``, the decoder stages ``dec_deep`` (deepest level first),
+    each reading the upsampled features concatenated with its level's skip,
+    and the 1-cube ``head`` conv. ``forward`` and ``backward`` walk them,
+    calling every stage through its attribute at call time.
+    """
 
     kind = "base"
 
@@ -72,15 +71,25 @@ class _ModelBase:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self._stages = []  # ordered (name, layer) pairs, encoder to head
+        self.stem = Chain([])
+        self.enc = []
+        self.skip_channels = []
+        self.dec_deep = []
+        self.up = UpsampleNearest()
+        self.out_sigmoid = Sigmoid()
 
     def _register(self, name, layer):
         self._stages.append((name, layer))
         return layer
 
+    def _add_head(self, ch):
+        spec = ConvSpec(ch, self.cfg.output_channels, (1, 1, 1), (1, 1, 1), SAME)
+        self.head = self._register("head", Conv3d("head.conv", spec, dtype=self.dtype))
+
     def init_params(self, seed):
         rng = np.random.default_rng(seed)
         for _, stage in self._stages:
-            for layer in _walk_layers(stage):
+            for layer in walk(stage):
                 if isinstance(layer, Conv3d):
                     layer.init_params(rng)
         return self
@@ -89,7 +98,7 @@ class _ModelBase:
         """Stable name -> live array mapping, in build order."""
         out = {}
         for _, stage in self._stages:
-            for layer in _walk_layers(stage):
+            for layer in walk(stage):
                 for name, arr in layer.parameters().items():
                     if name in out:
                         raise ShapeError(f"duplicate parameter name {name}")
@@ -133,72 +142,23 @@ class _ModelBase:
                     axis=ax,
                 )
 
-
-class Uception(_ModelBase):
-    """Inception-style blocks inside a U-net-shaped encoder-decoder.
-
-    Per encoder level l: a DeepBlock (branch depth D * 2^l) whose output
-    feeds the skip, then a ReductionBlock. The bottleneck is a DeepBlock at
-    branch depth D * 2^L. Each decoder level upsamples, concatenates the
-    saved skip and applies a DeepBlock at the encoder's branch depth.
-    """
-
-    kind = "uception"
-
-    def __init__(self, cfg: UceptionCfg, dtype=np.float32):
-        super().__init__(cfg, dtype)
-        d, levels, r = cfg.base_depth, cfg.levels, cfg.dropout_rate
-        self.stem = self._register(
-            "stem", conv_unit("stem.conv", cfg.input_channels, d, 3,
-                              dropout_rate=r, dtype=dtype))
-        ch = d
-        self.enc_deep, self.enc_red, self.skip_channels = [], [], []
-        for lv in range(levels):
-            bd = d * 2 ** lv
-            deep = DeepBlock(f"enc{lv}.deep", DeepBlockCfg(ch, bd, r), dtype=dtype)
-            self._register(f"enc{lv}.deep", deep)
-            self.enc_deep.append(deep)
-            ch = deep.cfg.out_channels
-            self.skip_channels.append(ch)
-            red = ReductionBlock(f"enc{lv}.red", ReductionBlockCfg(ch, bd, r), dtype=dtype)
-            self._register(f"enc{lv}.red", red)
-            self.enc_red.append(red)
-            ch = red.cfg.out_channels
-        self.bottleneck = DeepBlock(
-            "bottleneck.deep", DeepBlockCfg(ch, d * 2 ** levels, r), dtype=dtype)
-        self._register("bottleneck.deep", self.bottleneck)
-        ch = self.bottleneck.cfg.out_channels
-        self.dec_deep = []
-        for lv in reversed(range(levels)):
-            bd = d * 2 ** lv
-            deep = DeepBlock(f"dec{lv}.deep",
-                             DeepBlockCfg(ch + self.skip_channels[lv], bd, r), dtype=dtype)
-            self._register(f"dec{lv}.deep", deep)
-            self.dec_deep.append(deep)
-            ch = deep.cfg.out_channels
-        head_spec = ConvSpec(ch, cfg.output_channels, (1, 1, 1), (1, 1, 1), SAME)
-        self.head = self._register("head", Conv3d("head.conv", head_spec, dtype=dtype))
-        self.out_sigmoid = Sigmoid()
-
     def forward(self, x, ctx):
         """Returns (probability volume, cache). Cache feeds backward()."""
         x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
         h, c_stem = self.stem.forward(x, ctx)
         skips, enc_caches = [], []
-        for deep, red in zip(self.enc_deep, self.enc_red):
+        for deep, down in self.enc:
             h, c_deep = deep.forward(h, ctx)
             skips.append(h)
-            h, c_red = red.forward(h, ctx)
-            enc_caches.append((c_deep, c_red))
+            h, c_down = down.forward(h, ctx)
+            enc_caches.append((c_deep, c_down))
         h, c_bott = self.bottleneck.forward(h, ctx)
         dec_caches = []
-        for i, deep in enumerate(self.dec_deep):
-            lv = self.cfg.levels - 1 - i
-            up = h.repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
-            h = np.concatenate([up, skips[lv]], axis=1)
-            h, c_deep = deep.forward(h, ctx)
-            dec_caches.append((up.shape[1], c_deep))
+        for deep, skip in zip(self.dec_deep, reversed(skips)):
+            up, c_up = self.up.forward(h, ctx)
+            h, c_deep = deep.forward(np.concatenate([up, skip], axis=1), ctx)
+            dec_caches.append((up.shape[1], c_up, c_deep))
         z, c_head = self.head.forward(h, ctx)
         y, c_sig = self.out_sigmoid.forward(z, ctx)
         return y, (c_stem, enc_caches, c_bott, dec_caches, c_head, c_sig)
@@ -207,21 +167,57 @@ class Uception(_ModelBase):
         c_stem, enc_caches, c_bott, dec_caches, c_head, c_sig = cache
         g = self.out_sigmoid.backward(grad_out, c_sig, grads)
         g = self.head.backward(g, c_head, grads)
-        skip_grads = [None] * self.cfg.levels
-        for i in reversed(range(len(self.dec_deep))):
-            lv = self.cfg.levels - 1 - i
-            up_ch, c_deep = dec_caches[i]
-            g = self.dec_deep[i].backward(g, c_deep, grads)
-            gu, skip_grads[lv] = g[:, :up_ch], g[:, up_ch:]
-            n, c, d2, h2, w2 = gu.shape
-            g = gu.reshape(n, c, d2 // 2, 2, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5, 7))
+        skip_grads = []  # shallowest level first
+        for deep, (up_ch, c_up, c_deep) in zip(reversed(self.dec_deep), reversed(dec_caches)):
+            g = deep.backward(g, c_deep, grads)
+            skip_grads.append(g[:, up_ch:])
+            g = self.up.backward(g[:, :up_ch], c_up, grads)
         g = self.bottleneck.backward(g, c_bott, grads)
-        for lv in reversed(range(self.cfg.levels)):
-            c_deep, c_red = enc_caches[lv]
-            g = self.enc_red[lv].backward(g, c_red, grads)
-            g = g + skip_grads[lv]
-            g = self.enc_deep[lv].backward(g, c_deep, grads)
+        for (deep, down), (c_deep, c_down), skip_grad in zip(
+                reversed(self.enc), reversed(enc_caches), reversed(skip_grads)):
+            g = down.backward(g, c_down, grads)
+            g = g + skip_grad
+            g = deep.backward(g, c_deep, grads)
         return self.stem.backward(g, c_stem, grads)
+
+
+class Uception(_ModelBase):
+    """Inception-style blocks inside a U-net-shaped encoder-decoder.
+
+    A 3-cube stem conv, then per encoder level l a DeepBlock (branch depth
+    D * 2^l) whose output feeds the skip and a ReductionBlock down. The
+    bottleneck is a DeepBlock at branch depth D * 2^L, and each decoder
+    level is a DeepBlock at the encoder's branch depth.
+    """
+
+    kind = "uception"
+
+    def __init__(self, cfg: UceptionCfg, dtype=np.float32):
+        super().__init__(cfg, dtype)
+        d, r = cfg.base_depth, cfg.dropout_rate
+
+        def deep(name, ch, lv):
+            return self._register(
+                name, DeepBlock(name, DeepBlockCfg(ch, d * 2 ** lv, r), dtype=dtype))
+
+        self.stem = self._register(
+            "stem", conv_unit("stem.conv", cfg.input_channels, d, 3,
+                              dropout_rate=r, dtype=dtype))
+        ch = d
+        for lv in range(cfg.levels):
+            block = deep(f"enc{lv}.deep", ch, lv)
+            ch = block.cfg.out_channels
+            self.skip_channels.append(ch)
+            red = self._register(f"enc{lv}.red", ReductionBlock(
+                f"enc{lv}.red", ReductionBlockCfg(ch, d * 2 ** lv, r), dtype=dtype))
+            self.enc.append((block, red))
+            ch = red.cfg.out_channels
+        self.bottleneck = deep("bottleneck.deep", ch, cfg.levels)
+        ch = self.bottleneck.cfg.out_channels
+        for lv in reversed(range(cfg.levels)):
+            self.dec_deep.append(deep(f"dec{lv}.deep", ch + self.skip_channels[lv], lv))
+            ch = self.dec_deep[-1].cfg.out_channels
+        self._add_head(ch)
 
 
 class UNet3d(_ModelBase):
@@ -235,83 +231,26 @@ class UNet3d(_ModelBase):
         self.width = int(width)
         self.bottleneck_width = int(bottleneck_width)
         r = cfg.dropout_rate
+
+        def pair(name, ch, w):
+            return self._register(name, Chain([
+                conv_unit(f"{name}.conv_a", ch, w, 3, dropout_rate=r, dtype=dtype),
+                conv_unit(f"{name}.conv_b", w, w, 3, dropout_rate=r, dtype=dtype),
+            ]))
+
         ch = cfg.input_channels
-        self.enc, self.skip_channels = [], []
         for lv in range(cfg.levels):
             w = self.width * 2 ** lv
-            pair = Chain([
-                conv_unit(f"enc{lv}.conv_a", ch, w, 3, dropout_rate=r, dtype=dtype),
-                conv_unit(f"enc{lv}.conv_b", w, w, 3, dropout_rate=r, dtype=dtype),
-            ])
-            self._register(f"enc{lv}", pair)
-            self.enc.append(pair)
+            self.enc.append((pair(f"enc{lv}", ch, w), MaxPool3d()))
             self.skip_channels.append(w)
             ch = w
-        self.bottleneck = Chain([
-            conv_unit("bottleneck.conv_a", ch, self.bottleneck_width, 3,
-                      dropout_rate=r, dtype=dtype),
-            conv_unit("bottleneck.conv_b", self.bottleneck_width, self.bottleneck_width, 3,
-                      dropout_rate=r, dtype=dtype),
-        ])
-        self._register("bottleneck", self.bottleneck)
+        self.bottleneck = pair("bottleneck", ch, self.bottleneck_width)
         ch = self.bottleneck_width
-        self.dec = []
         for lv in reversed(range(cfg.levels)):
             w = self.width * 2 ** lv
-            pair = Chain([
-                conv_unit(f"dec{lv}.conv_a", ch + self.skip_channels[lv], w, 3,
-                          dropout_rate=r, dtype=dtype),
-                conv_unit(f"dec{lv}.conv_b", w, w, 3, dropout_rate=r, dtype=dtype),
-            ])
-            self._register(f"dec{lv}", pair)
-            self.dec.append(pair)
+            self.dec_deep.append(pair(f"dec{lv}", ch + self.skip_channels[lv], w))
             ch = w
-        head_spec = ConvSpec(ch, cfg.output_channels, (1, 1, 1), (1, 1, 1), SAME)
-        self.head = self._register("head", Conv3d("head.conv", head_spec, dtype=dtype))
-        self.out_sigmoid = Sigmoid()
-
-    def forward(self, x, ctx):
-        x = np.asarray(x, dtype=self.dtype)
-        self._check_input(x)
-        h = x
-        skips, enc_caches, pool_caches = [], [], []
-        for pair in self.enc:
-            h, c = pair.forward(h, ctx)
-            skips.append(h)
-            enc_caches.append(c)
-            h, argmax = ops.maxpool3d(h)
-            pool_caches.append((argmax, skips[-1].shape))
-        h, c_bott = self.bottleneck.forward(h, ctx)
-        dec_caches = []
-        for i, pair in enumerate(self.dec):
-            lv = self.cfg.levels - 1 - i
-            up = h.repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
-            h = np.concatenate([up, skips[lv]], axis=1)
-            h, c = pair.forward(h, ctx)
-            dec_caches.append((up.shape[1], c))
-        z, c_head = self.head.forward(h, ctx)
-        y, c_sig = self.out_sigmoid.forward(z, ctx)
-        return y, (enc_caches, pool_caches, c_bott, dec_caches, c_head, c_sig)
-
-    def backward(self, grad_out, cache, grads):
-        enc_caches, pool_caches, c_bott, dec_caches, c_head, c_sig = cache
-        g = self.out_sigmoid.backward(grad_out, c_sig, grads)
-        g = self.head.backward(g, c_head, grads)
-        skip_grads = [None] * self.cfg.levels
-        for i in reversed(range(len(self.dec))):
-            lv = self.cfg.levels - 1 - i
-            up_ch, c = dec_caches[i]
-            g = self.dec[i].backward(g, c, grads)
-            gu, skip_grads[lv] = g[:, :up_ch], g[:, up_ch:]
-            n, c2, d2, h2, w2 = gu.shape
-            g = gu.reshape(n, c2, d2 // 2, 2, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5, 7))
-        g = self.bottleneck.backward(g, c_bott, grads)
-        for lv in reversed(range(self.cfg.levels)):
-            argmax, in_shape = pool_caches[lv]
-            g = ops.maxpool3d_backward(g, argmax, in_shape)
-            g = g + skip_grads[lv]
-            g = self.enc[lv].backward(g, enc_caches[lv], grads)
-        return g
+        self._add_head(ch)
 
 
 def build_uception(cfg: UceptionCfg, seed=0, dtype=np.float32):

@@ -1,5 +1,4 @@
-"""Volumes on disk: MetaImage (.mha/.mhd) subset and the internal UVOL raw
-format.
+"""Volumes on disk: the MetaImage (.mha/.mhd) subset.
 
 A Volume is a 3-D scalar field ordered (depth, height, width) with
 per-axis physical spacing in mm. MetaImage stores extents and spacing
@@ -13,7 +12,6 @@ MetaImageError: corrupt headers and short payloads are data, not bugs.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +30,6 @@ ELEMENT_DTYPES = {
     "MET_USHORT": "u2",
     "MET_FLOAT": "f4",
 }
-
-UVOL_MAGIC = b"UVOL"
-
 
 @dataclass
 class Volume:
@@ -268,38 +263,3 @@ def load_metaimage(path):
 def volume_to_mask(volume):
     """Ground-truth convention: any value above 0.5 is foreground."""
     return volume.data > 0.5
-
-
-# ---------------------------------------------------------------------------
-# UVOL: trivial internal raw format
-# magic "UVOL", u32 d h w, f64 spacing (sd sh sw), then d*h*w float32 LE.
-
-
-def write_uvol(volume, path=None):
-    blob = b"".join([
-        UVOL_MAGIC,
-        struct.pack("<3I", *volume.extents),
-        struct.pack("<3d", *volume.spacing),
-        np.ascontiguousarray(volume.data, dtype="<f4").tobytes(),
-    ])
-    if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    return blob
-
-
-def read_uvol(source):
-    if isinstance(source, bytes):
-        blob = source
-    else:
-        with open(source, "rb") as fh:
-            blob = fh.read()
-    if len(blob) < 4 + 12 + 24 or blob[:4] != UVOL_MAGIC:
-        raise MetaImageError("not a UVOL blob")
-    d, h, w = struct.unpack("<3I", blob[4:16])
-    spacing = struct.unpack("<3d", blob[16:40])
-    expected = 40 + d * h * w * 4
-    if len(blob) != expected:
-        raise MetaImagePayloadMismatch(expected - 40, len(blob) - 40)
-    data = np.frombuffer(blob[40:], dtype="<f4").reshape(d, h, w)
-    return Volume(data, spacing)

@@ -1,4 +1,4 @@
-"""MetaImage and UVOL round trips, plus the mutation fuzz: corrupt input
+"""MetaImage round trips, plus the mutation fuzz: corrupt input
 must always surface as a structured parser error, never a crash."""
 import numpy as np
 import pytest
@@ -13,11 +13,9 @@ from uception.volume import (
     Volume,
     load_metaimage,
     read_metaimage,
-    read_uvol,
     save_metaimage,
     volume_to_mask,
     write_metaimage,
-    write_uvol,
 )
 
 
@@ -163,21 +161,6 @@ class TestFuzz:
             except Exception as exc:  # pragma: no cover - failure reporting
                 crashes.append((case, type(exc).__name__, str(exc)[:80]))
         assert not crashes, f"unstructured failures: {crashes[:5]}"
-
-
-class TestUvol:
-    def test_roundtrip(self):
-        vol = random_volume(13, (3, 4, 5), (0.5, 1.0, 2.0))
-        back = read_uvol(write_uvol(vol))
-        assert np.array_equal(back.data, vol.data)
-        assert back.spacing == vol.spacing
-
-    def test_corrupt_rejected(self):
-        blob = write_uvol(random_volume(14))
-        with pytest.raises(MetaImageError):
-            read_uvol(blob[:-2])
-        with pytest.raises(MetaImageError):
-            read_uvol(b"JUNK" + blob[4:])
 
 
 def test_mask_convention_above_half():
