@@ -1,9 +1,12 @@
 """Phantom generator: determinism, sparsity, cylinder-volume sanity."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from uception.errors import DataError, ShapeError
 from uception.phantom import PhantomSpec, generate_phantom, write_phantom_dataset
+from uception.preprocess import resample_trilinear
 from uception.volume import load_metaimage, volume_to_mask
 
 
@@ -86,3 +89,30 @@ def test_dataset_files_load_as_pairs(tmp_path):
 def test_empty_dataset_rejected(tmp_path):
     with pytest.raises(DataError):
         write_phantom_dataset(tmp_path, 0, 0, 0)
+
+
+def _sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+class TestGoldenPhantom:
+    """Pins the exact bytes of two phantoms and of one trilinear resample,
+    so a change to how the background or the resampler blends cannot move
+    a dataset."""
+
+    def test_default_spec_bytes(self):
+        img, tru = generate_phantom(PhantomSpec(seed=0))
+        assert _sha256(img.data) == (
+            "a6a0bc71723d65b06dd6d2d0c8a4c2e57cd753797763b852353c044a5254ba81")
+        assert _sha256(tru.data) == (
+            "091a57449e308ce3d7a5151710d4ec839ffaf0f4ad4f22bcd046ef0ea453af24")
+
+    def test_anisotropic_phantom_and_resample_bytes(self):
+        spec = PhantomSpec(seed=7, spacing=(0.9, 0.85, 0.95), extents=(43, 41, 46))
+        img, _ = generate_phantom(spec)
+        assert _sha256(img.data) == (
+            "35fc15c04afa4c653d2d873950458e36444c81f66efcb8fa078eb448be70978e")
+        iso = resample_trilinear(img, (1.0, 1.0, 1.0))
+        assert iso.data.shape == (39, 35, 44)
+        assert _sha256(iso.data) == (
+            "2eba5c7ff8ed569fffe12a11c13ad6a79bb6c48cc7afa09b923743990183ffe4")
