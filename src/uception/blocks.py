@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import layers, ops
 from .errors import ShapeError
-from .layers import Chain, MaxPool3d, conv_unit, walk
+from .layers import Chain, Context, MaxPool3d, conv_unit
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class _ParallelConcat:
         self.branches = branches  # list of (name, layer)
 
     def parameters(self):
-        out = {}
-        for _, branch in self.branches:
-            out.update(branch.parameters())
-        return out
+        return layers.parameters(self)
 
     def forward(self, x, ctx):
         if x.shape[1] != self.cfg.in_channels:
@@ -131,30 +128,20 @@ class ReductionBlock(_ParallelConcat):
 
 def deep_block(cfg: DeepBlockCfg, x, ctx=None, rng=None, dtype=None):
     """One-shot functional form: build, He-init and apply a DeepBlock."""
-    from .layers import Context
-    dtype = dtype or np.asarray(x).dtype
-    block = DeepBlock("deep", cfg, dtype=dtype)
-    _init_block(block, rng)
-    y, _ = block.forward(np.asarray(x), ctx or Context())
-    return y
+    return _apply_once(DeepBlock("deep", cfg, dtype=dtype or np.asarray(x).dtype),
+                       x, ctx, rng)
 
 
 def reduction_block(cfg: ReductionBlockCfg, x, ctx=None, rng=None, dtype=None):
     """One-shot functional form: build, He-init and apply a ReductionBlock."""
-    from .layers import Context
-    dtype = dtype or np.asarray(x).dtype
-    block = ReductionBlock("reduction", cfg, dtype=dtype)
-    _init_block(block, rng)
+    return _apply_once(
+        ReductionBlock("reduction", cfg, dtype=dtype or np.asarray(x).dtype), x, ctx, rng)
+
+
+def _apply_once(block, x, ctx, rng):
+    layers.init_params(block, np.random.default_rng(0) if rng is None else rng)
     y, _ = block.forward(np.asarray(x), ctx or Context())
     return y
-
-
-def _init_block(block, rng):
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for layer in walk(block):
-        if hasattr(layer, "init_params"):
-            layer.init_params(rng)
 
 
 __all__ = [

@@ -159,10 +159,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
     if not splits["val"]:
         raise DataError("training needs at least one validation volume")
     train_set = [preprocess_pair(img, seg)[:2] for _, img, seg in splits["train"]]
-    val_set = []
-    for _, img, seg in splits["val"]:
-        vimg, vmask, vspacing = preprocess_pair(img, seg)
-        val_set.append((vimg, vmask, vspacing))
+    val_set = [preprocess_pair(img, seg) for _, img, seg in splits["val"]]
 
     model = build_model_from_config(cfg)
     adam = AdamState(lr=cfg.lr_max)
@@ -228,22 +225,18 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
     if len(snap) == 0 and val_history:
         # no interior local minimum; keep the final weights
         snapshot_update(snap, cfg.epochs - 1, val_history[-1], params)
-    avg_params = snapshot_average(snap)
-    avg_model = build_model_from_config(cfg)
-    avg_model.set_parameters(avg_params)
-    avg_val = validate_all(avg_model)
-
+    # the trained model carries each saved parameter set in turn:
+    # last, then every snapshot, then their average
     last_path = os.path.join(out_dir, "model_last.ucpt")
     avg_path = os.path.join(out_dir, "model_avg.ucpt")
     save_checkpoint(model, last_path)
-    save_checkpoint(avg_model, avg_path)
     snap_paths = []
-    for val_loss, epoch, sp in snap.entries:
-        snap_model = build_model_from_config(cfg)
-        snap_model.set_parameters(sp)
-        p = os.path.join(out_dir, f"snapshot_e{epoch:04d}.ucpt")
-        save_checkpoint(snap_model, p)
-        snap_paths.append(p)
+    for _, epoch, sp in snap.entries:
+        snap_paths.append(os.path.join(out_dir, f"snapshot_e{epoch:04d}.ucpt"))
+        save_checkpoint(model.set_parameters(sp), snap_paths[-1])
+    model.set_parameters(snapshot_average(snap))
+    avg_val = validate_all(model)
+    save_checkpoint(model, avg_path)
     return {
         "val_history": val_history,
         "snapshots": [(e, v) for v, e, _ in snap.entries],
@@ -327,29 +320,27 @@ def cmd_evaluate(args):
             f"unpaired file sets: {len(args.image)} images vs "
             f"{len(args.truth)} truths"
         )
-    reports = []
-    lines = []
-    for pred_path, truth_path in zip(args.pred, args.truth):
-        pred, spacing = _load_mask(pred_path)
-        truth, tspacing = _load_mask(truth_path)
-        report = evaluate_masks(pred, truth, tspacing,
-                                name=os.path.basename(pred_path))
-        reports.append(report)
-        lines.append(report.to_record())
-    text = "\n".join(lines) + "\n" + summarize_reports(reports)
-    if args.image:
-        baseline_reports = []
-        for img_path, truth_path in zip(args.image, args.truth):
-            vol, _ = load_metaimage(img_path)
-            truth, tspacing = _load_mask(truth_path)
-            mask = threshold_baseline(clip_normalize(vol), args.baseline_fraction)
-            baseline_reports.append(
-                evaluate_masks(mask, truth, tspacing,
-                               name=f"baseline:{os.path.basename(img_path)}"))
-        text += "\nbaseline (threshold at {:.0%} of max intensity)\n".format(
-            args.baseline_fraction)
-        text += "\n".join(r.to_record() for r in baseline_reports)
-        text += "\n" + summarize_reports(baseline_reports)
+
+    def pred_mask(path):
+        return _load_mask(path)[0]
+
+    def baseline_mask(path):
+        vol, _ = load_metaimage(path)
+        return threshold_baseline(clip_normalize(vol), args.baseline_fraction)
+
+    truths = [_load_mask(path) for path in args.truth]
+    text = ""
+    for heading, prefix, paths, load in (
+            ("", "", args.pred, pred_mask),
+            (f"\nbaseline (threshold at {args.baseline_fraction:.0%} of max intensity)\n",
+             "baseline:", args.image, baseline_mask)):
+        if not paths:
+            continue
+        reports = [evaluate_masks(load(path), truth, spacing,
+                                  name=prefix + os.path.basename(path))
+                   for path, (truth, spacing) in zip(paths, truths)]
+        text += (heading + "\n".join(r.to_record() for r in reports) + "\n"
+                 + summarize_reports(reports))
     print(text, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,6 +6,8 @@ backward pass with grad_out = r. Central differences probe every entry of
 small arrays and a seeded sample of large ones. All checks run in the
 64-bit numeric mode.
 
+Every check builds a probe case, (scalar_fn, arrays, analytic) plus
+(cap, h) for the block and model checks, and ``probe_case`` probes it.
 The relative error metric is |a - f| / max(1e-8, |a| + |f|), reported as
 the maximum over all probed entries.
 """
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
-from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg, _init_block
+from . import layers, ops
+from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
 from .layers import Context, TRAIN
 from .metrics import soft_dice, soft_dice_backward
 from .models import UceptionCfg, build_uception, build_unet3d_baseline
@@ -74,11 +76,20 @@ def probe(scalar_fn, arrays, analytic, cap=160, h=1e-5, seed=7):
     return worst
 
 
+def probe_case(case, corrupt=False):
+    """Probe a check's case; corrupt adds 0.05 to every analytic gradient
+    (a self-test that a wrong backward is caught)."""
+    scalar_fn, arrays, analytic, *steps = case
+    if corrupt:
+        analytic = {label: g + 0.05 for label, g in analytic.items()}
+    return probe(scalar_fn, arrays, analytic, *steps)
+
+
 def _rand(shape, rng, scale=1.0):
     return (scale * rng.standard_normal(shape)).astype(np.float64)
 
 
-def _check_conv(kernel, stride, padding, in_c, out_c, ext, corrupt=False):
+def _check_conv(kernel, stride, padding, in_c, out_c, ext):
     rng = np.random.default_rng(11)
     spec = ConvSpec(in_c, out_c, (kernel,) * 3, (stride,) * 3, padding)
     x = _rand((1, in_c, ext, ext, ext), rng)
@@ -90,9 +101,7 @@ def _check_conv(kernel, stride, padding, in_c, out_c, ext, corrupt=False):
         return float((ops.conv3d(x, w, b, spec) * r).sum())
 
     gx, gw, gb = ops.conv3d_backward(x, w, r, spec)
-    if corrupt:
-        gw = gw + 0.05
-    return probe(scalar, {"x": x, "w": w, "b": b}, {"x": gx, "w": gw, "b": gb})
+    return scalar, {"x": x, "w": w, "b": b}, {"x": gx, "w": gw, "b": gb}
 
 
 def _check_maxpool(window, stride, padding):
@@ -106,7 +115,7 @@ def _check_maxpool(window, stride, padding):
     y0, argmax = ops.maxpool3d(x, window, stride, padding)
     r = _rand(y0.shape, np.random.default_rng(14))
     gx = ops.maxpool3d_backward(r, argmax, x.shape, window, stride, padding)
-    return probe(scalar, {"x": x}, {"x": gx})
+    return scalar, {"x": x}, {"x": gx}
 
 
 def _check_upsample():
@@ -118,7 +127,7 @@ def _check_upsample():
         return float((ops.upsample_nearest(x, 2) * r).sum())
 
     gx = ops.upsample_nearest_backward(r, 2)
-    return probe(scalar, {"x": x}, {"x": gx})
+    return scalar, {"x": x}, {"x": gx}
 
 
 def _check_concat():
@@ -131,7 +140,7 @@ def _check_concat():
         return float((ops.concat_channels([a, b]) * r).sum())
 
     ga, gb = ops.concat_channels_backward(r, [2, 3])
-    return probe(scalar, {"a": a, "b": b}, {"a": ga, "b": gb})
+    return scalar, {"a": a, "b": b}, {"a": ga, "b": gb}
 
 
 def _check_relu():
@@ -144,7 +153,7 @@ def _check_relu():
     def scalar():
         return float((ops.relu(x) * r).sum())
 
-    return probe(scalar, {"x": x}, {"x": ops.relu_backward(r, x)})
+    return scalar, {"x": x}, {"x": ops.relu_backward(r, x)}
 
 
 def _check_sigmoid():
@@ -155,7 +164,7 @@ def _check_sigmoid():
     def scalar():
         return float((ops.sigmoid(x) * r).sum())
 
-    return probe(scalar, {"x": x}, {"x": ops.sigmoid_backward(r, ops.sigmoid(x))})
+    return scalar, {"x": x}, {"x": ops.sigmoid_backward(r, ops.sigmoid(x))}
 
 
 def _check_dropout():
@@ -169,7 +178,7 @@ def _check_dropout():
         return float((y * r).sum())
 
     _, mask = ops.dropout(x, rate, 123)
-    return probe(scalar, {"x": x}, {"x": ops.dropout_backward(r, mask, rate)})
+    return scalar, {"x": x}, {"x": ops.dropout_backward(r, mask, rate)}
 
 
 def _check_soft_dice(smooth):
@@ -182,7 +191,7 @@ def _check_soft_dice(smooth):
     def scalar():
         return soft_dice(p, t, smooth)
 
-    return probe(scalar, {"p": p}, {"p": soft_dice_backward(p, t, smooth)})
+    return scalar, {"p": p}, {"p": soft_dice_backward(p, t, smooth)}
 
 
 def _randomize_biases(params, rng):
@@ -195,8 +204,8 @@ def _randomize_biases(params, rng):
 
 
 def _graph_check(graph, in_c, ext, rng, cap, h, ctx_seed):
-    """Probe a built block or model: biases, then x, then r draw from rng,
-    and every forward replays one train-mode dropout stream (ctx_seed)."""
+    """Case for a built block or model: biases, then x, then r draw from
+    rng, and every forward replays one train-mode dropout stream (ctx_seed)."""
     _randomize_biases(graph.parameters(), rng)
     x = _rand((1, in_c, ext, ext, ext), rng)
 
@@ -213,14 +222,12 @@ def _graph_check(graph, in_c, ext, rng, cap, h, ctx_seed):
 
     grads = {}
     gx = graph.backward(r, cache, grads)
-    arrays = {"x": x, **graph.parameters()}
-    analytic = {"x": gx, **grads}
-    return probe(scalar, arrays, analytic, cap=cap, h=h)
+    return scalar, {"x": x, **graph.parameters()}, {"x": gx, **grads}, cap, h
 
 
 def _check_block(block, ext):
     rng = np.random.default_rng(21)
-    _init_block(block, rng)
+    layers.init_params(block, rng)
     return _graph_check(block, block.cfg.in_channels, ext, rng, cap=60, h=1e-5, ctx_seed=31)
 
 
@@ -243,46 +250,39 @@ def _check_miniature(build):
                         cap=24, h=1e-6, ctx_seed=41)
 
 
+CHECKS = [  # (name, case builder, tolerance), in report order
+    ("relu", _check_relu, DEFAULT_TOL),
+    ("sigmoid", _check_sigmoid, DEFAULT_TOL),
+    ("dropout", _check_dropout, DEFAULT_TOL),
+    ("conv-1cube", lambda: _check_conv(1, 1, SAME, 2, 3, 5), DEFAULT_TOL),
+    ("conv-3cube-same", lambda: _check_conv(3, 1, SAME, 2, 2, 6), DEFAULT_TOL),
+    ("conv-3cube-stride2", lambda: _check_conv(3, 2, SAME, 2, 2, 6), DEFAULT_TOL),
+    ("conv-3cube-valid", lambda: _check_conv(3, 1, VALID, 2, 2, 6), DEFAULT_TOL),
+    ("conv-5cube-same", lambda: _check_conv(5, 1, SAME, 1, 2, 6), DEFAULT_TOL),
+    ("conv-7cube-same", lambda: _check_conv(7, 1, SAME, 1, 1, 8), DEFAULT_TOL),
+    ("maxpool-2cube-stride2", lambda: _check_maxpool((2, 2, 2), (2, 2, 2), VALID),
+     DEFAULT_TOL),
+    ("maxpool-3cube-same", lambda: _check_maxpool((3, 3, 3), (1, 1, 1), SAME),
+     DEFAULT_TOL),
+    ("upsample-nearest", _check_upsample, DEFAULT_TOL),
+    ("concat-channels", _check_concat, DEFAULT_TOL),
+    ("soft-dice-smooth0", lambda: _check_soft_dice(0.0), DICE_TOL),
+    ("soft-dice-smooth1", lambda: _check_soft_dice(1.0), DICE_TOL),
+    ("deep-block", _check_deep_block, DEFAULT_TOL),
+    ("reduction-block", _check_reduction_block, DEFAULT_TOL),
+    ("uception-miniature", lambda: _check_miniature(build_uception), MODEL_TOL),
+    ("unet3d-miniature", lambda: _check_miniature(build_unet3d_baseline), MODEL_TOL),
+]
+
+
 def run_suite(corrupt=None):
     """Run every gradient check; returns a list of CheckResult.
 
-    corrupt names one check whose analytic gradient is deliberately
+    corrupt names one check whose analytic gradients are deliberately
     perturbed (a self-test that failures are detected and attributed).
     """
-    checks = [
-        ("relu", _check_relu, DEFAULT_TOL),
-        ("sigmoid", _check_sigmoid, DEFAULT_TOL),
-        ("dropout", _check_dropout, DEFAULT_TOL),
-        ("conv-1cube", lambda c: _check_conv(1, 1, SAME, 2, 3, 5, c), DEFAULT_TOL),
-        ("conv-3cube-same", lambda c: _check_conv(3, 1, SAME, 2, 2, 6, c), DEFAULT_TOL),
-        ("conv-3cube-stride2", lambda c: _check_conv(3, 2, SAME, 2, 2, 6, c), DEFAULT_TOL),
-        ("conv-3cube-valid", lambda c: _check_conv(3, 1, VALID, 2, 2, 6, c), DEFAULT_TOL),
-        ("conv-5cube-same", lambda c: _check_conv(5, 1, SAME, 1, 2, 6, c), DEFAULT_TOL),
-        ("conv-7cube-same", lambda c: _check_conv(7, 1, SAME, 1, 1, 8, c), DEFAULT_TOL),
-        ("maxpool-2cube-stride2", lambda: _check_maxpool((2, 2, 2), (2, 2, 2), VALID),
-         DEFAULT_TOL),
-        ("maxpool-3cube-same", lambda: _check_maxpool((3, 3, 3), (1, 1, 1), SAME),
-         DEFAULT_TOL),
-        ("upsample-nearest", _check_upsample, DEFAULT_TOL),
-        ("concat-channels", _check_concat, DEFAULT_TOL),
-        ("soft-dice-smooth0", lambda: _check_soft_dice(0.0), DICE_TOL),
-        ("soft-dice-smooth1", lambda: _check_soft_dice(1.0), DICE_TOL),
-        ("deep-block", _check_deep_block, DEFAULT_TOL),
-        ("reduction-block", _check_reduction_block, DEFAULT_TOL),
-        ("uception-miniature", lambda: _check_miniature(build_uception), MODEL_TOL),
-        ("unet3d-miniature", lambda: _check_miniature(build_unet3d_baseline), MODEL_TOL),
-    ]
-    results = []
-    for name, fn, tol in checks:
-        wants_corrupt = fn.__code__.co_argcount >= 1
-        if wants_corrupt:
-            err = fn(corrupt == name)
-        else:
-            if corrupt == name:
-                raise ValueError(f"check {name!r} does not support corruption")
-            err = fn()
-        results.append(CheckResult(name=name, max_rel_error=err, tolerance=tol))
-    return results
+    return [CheckResult(name, probe_case(make(), corrupt=name == corrupt), tol)
+            for name, make, tol in CHECKS]
 
 
 def format_results(results):

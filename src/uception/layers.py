@@ -63,9 +63,6 @@ class Conv3d:
 
 
 class ReLU:
-    def parameters(self):
-        return {}
-
     def forward(self, x, ctx):
         return ops.relu(x), x
 
@@ -74,9 +71,6 @@ class ReLU:
 
 
 class Sigmoid:
-    def parameters(self):
-        return {}
-
     def forward(self, x, ctx):
         y = ops.sigmoid(x)
         return y, y
@@ -92,9 +86,6 @@ class Dropout:
         if not 0.0 <= rate < 1.0:
             raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-
-    def parameters(self):
-        return {}
 
     def forward(self, x, ctx):
         if ctx.mode != TRAIN or self.rate == 0.0:
@@ -116,9 +107,6 @@ class MaxPool3d:
         self.stride = stride
         self.padding = padding
 
-    def parameters(self):
-        return {}
-
     def forward(self, x, ctx):
         # the route is the input itself, so it also carries the input shape
         return ops.maxpool3d(x, self.window, self.stride, self.padding)
@@ -132,9 +120,6 @@ class UpsampleNearest:
     def __init__(self, factor=2):
         self.factor = factor
 
-    def parameters(self):
-        return {}
-
     def forward(self, x, ctx):
         return ops.upsample_nearest(x, self.factor), None
 
@@ -147,12 +132,6 @@ class Chain:
 
     def __init__(self, layers):
         self.layers = list(layers)
-
-    def parameters(self):
-        out = {}
-        for layer in self.layers:
-            out.update(layer.parameters())
-        return out
 
     def forward(self, x, ctx):
         caches = []
@@ -169,15 +148,39 @@ class Chain:
 
 def walk(layer):
     """Yield the leaf layers under layer in build order, descending into
-    Chain.layers and into the (name, layer) pairs of .branches."""
+    Chain.layers and into the (name, layer) pairs of a block's .branches
+    or a model's ._stages."""
     if isinstance(layer, Chain):
         for sub in layer.layers:
             yield from walk(sub)
-    elif hasattr(layer, "branches"):
-        for _, branch in layer.branches:
-            yield from walk(branch)
-    else:
+        return
+    pairs = getattr(layer, "branches", getattr(layer, "_stages", None))
+    if pairs is None:
         yield layer
+        return
+    for _, sub in pairs:
+        yield from walk(sub)
+
+
+def parameters(root):
+    """Stable name -> live array mapping of every Conv3d under root, in
+    build order."""
+    out = {}
+    for layer in walk(root):
+        if isinstance(layer, Conv3d):
+            for name, arr in layer.parameters().items():
+                if name in out:
+                    raise ShapeError(f"duplicate parameter name {name}")
+                out[name] = arr
+    return out
+
+
+def init_params(root, rng):
+    """He-initialize every Conv3d under root in build order; returns root."""
+    for layer in walk(root):
+        if isinstance(layer, Conv3d):
+            layer.init_params(rng)
+    return root
 
 
 def conv_unit(name, in_channels, out_channels, kernel, stride=1, dropout_rate=0.0,

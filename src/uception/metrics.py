@@ -168,15 +168,20 @@ class SegReport:
 
 
 def evaluate_masks(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0), name=""):
-    """Build a SegReport; an empty mask yields NaN distance, not a crash."""
-    d = hard_dice(pred_mask, truth_mask)
-    s = sensitivity(pred_mask, truth_mask)
-    try:
-        ahd = average_hausdorff(pred_mask, truth_mask, spacing)
-    except EmptyMaskError:
-        ahd = float("nan")
-    return SegReport(dice=d, sensitivity=s, avg_hausdorff_mm=ahd,
+    """Build a SegReport; an empty mask yields a NaN sensitivity or
+    distance where that metric is undefined, not a crash."""
+    return SegReport(dice=hard_dice(pred_mask, truth_mask),
+                     sensitivity=_nan_if_empty(sensitivity, pred_mask, truth_mask),
+                     avg_hausdorff_mm=_nan_if_empty(average_hausdorff, pred_mask,
+                                                    truth_mask, spacing),
                      voxel_spacing=tuple(float(x) for x in spacing), name=name)
+
+
+def _nan_if_empty(metric, *args):
+    try:
+        return metric(*args)
+    except EmptyMaskError:
+        return float("nan")
 
 
 def summarize_reports(reports):

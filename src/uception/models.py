@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import layers
 from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
 from .errors import CheckpointError, ShapeError
 from .layers import (Chain, Context, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest,
-                     conv_unit, walk)
+                     conv_unit)
 from .ops import SAME, ConvSpec
 from .tensor import as_tensor5
 
@@ -87,23 +88,11 @@ class _ModelBase:
         self.head = self._register("head", Conv3d("head.conv", spec, dtype=self.dtype))
 
     def init_params(self, seed):
-        rng = np.random.default_rng(seed)
-        for _, stage in self._stages:
-            for layer in walk(stage):
-                if isinstance(layer, Conv3d):
-                    layer.init_params(rng)
-        return self
+        return layers.init_params(self, np.random.default_rng(seed))
 
     def parameters(self):
         """Stable name -> live array mapping, in build order."""
-        out = {}
-        for _, stage in self._stages:
-            for layer in walk(stage):
-                for name, arr in layer.parameters().items():
-                    if name in out:
-                        raise ShapeError(f"duplicate parameter name {name}")
-                    out[name] = arr
-        return out
+        return layers.parameters(self)
 
     def parameter_count(self):
         return sum(int(p.size) for p in self.parameters().values())

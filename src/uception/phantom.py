@@ -18,6 +18,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DataError, ShapeError
+from .preprocess import trilinear_blend
 from .volume import Volume, save_metaimage
 
 
@@ -110,20 +111,10 @@ def _walk_tube(truth, intensity_map, spec, rng, radius):
 
 def _smooth_background(extents, rng):
     coarse = rng.uniform(0.0, 1.0, size=(4, 4, 4))
-    out = np.empty(extents, dtype=np.float64)
     grids = [np.linspace(0.0, 3.0, n) for n in extents]
     lo = [np.floor(g).astype(int).clip(0, 2) for g in grids]
     fr = [g - l for g, l in zip(grids, lo)]
-    iz, iy, ix = lo[0][:, None, None], lo[1][None, :, None], lo[2][None, None, :]
-    fz, fy, fx = fr[0][:, None, None], fr[1][None, :, None], fr[2][None, None, :]
-    c00 = coarse[iz, iy, ix] * (1 - fx) + coarse[iz, iy, ix + 1] * fx
-    c01 = coarse[iz, iy + 1, ix] * (1 - fx) + coarse[iz, iy + 1, ix + 1] * fx
-    c10 = coarse[iz + 1, iy, ix] * (1 - fx) + coarse[iz + 1, iy, ix + 1] * fx
-    c11 = coarse[iz + 1, iy + 1, ix] * (1 - fx) + coarse[iz + 1, iy + 1, ix + 1] * fx
-    c0 = c00 * (1 - fy) + c01 * fy
-    c1 = c10 * (1 - fy) + c11 * fy
-    out[...] = c0 * (1 - fz) + c1 * fz
-    return 0.12 + 0.10 * out
+    return 0.12 + 0.10 * trilinear_blend(coarse, lo, [l + 1 for l in lo], fr)
 
 
 def generate_phantom(spec: PhantomSpec):

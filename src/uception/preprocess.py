@@ -47,19 +47,22 @@ def resample_trilinear(volume, target_spacing=(1.0, 1.0, 1.0)):
     lo = [np.floor(f).astype(np.intp) for f in fids]
     hi = [np.minimum(l + 1, src.shape[ax] - 1) for ax, l in enumerate(lo)]
     fr = [f - l for f, l in zip(fids, lo)]
+    return Volume(trilinear_blend(src, lo, hi, fr).astype(np.float32), target)
 
-    iz0, iz1, fz = lo[0][:, None, None], hi[0][:, None, None], fr[0][:, None, None]
-    iy0, iy1, fy = lo[1][None, :, None], hi[1][None, :, None], fr[1][None, :, None]
-    ix0, ix1, fx = lo[2][None, None, :], hi[2][None, None, :], fr[2][None, None, :]
 
+def trilinear_blend(src, lo, hi, frac):
+    """Blend src at every (z, y, x) point of three per-axis sample grids:
+    lo and hi index each axis's lower and upper corner, frac weighs hi."""
+    shapes = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    (iz0, iy0, ix0), (iz1, iy1, ix1), (fz, fy, fx) = (
+        [np.reshape(a, s) for a, s in zip(axes, shapes)] for axes in (lo, hi, frac))
     c00 = src[iz0, iy0, ix0] * (1 - fx) + src[iz0, iy0, ix1] * fx
     c01 = src[iz0, iy1, ix0] * (1 - fx) + src[iz0, iy1, ix1] * fx
     c10 = src[iz1, iy0, ix0] * (1 - fx) + src[iz1, iy0, ix1] * fx
     c11 = src[iz1, iy1, ix0] * (1 - fx) + src[iz1, iy1, ix1] * fx
     c0 = c00 * (1 - fy) + c01 * fy
     c1 = c10 * (1 - fy) + c11 * fy
-    out = c0 * (1 - fz) + c1 * fz
-    return Volume(out.astype(np.float32), target)
+    return c0 * (1 - fz) + c1 * fz
 
 
 def clip_normalize(volume, clip_percentile=99.9):

@@ -12,7 +12,7 @@ from uception.blocks import (
     reduction_block,
 )
 from uception.errors import ShapeError
-from uception.gradcheck import _check_deep_block, _check_reduction_block
+from uception.gradcheck import _check_deep_block, _check_reduction_block, probe_case
 from uception.layers import Context
 
 
@@ -52,7 +52,7 @@ class TestDeepBlock:
         assert block.parameters()["blk.c.conv7.w"].shape == (2, 2, 7, 7, 7)
 
     def test_gradient_against_finite_differences(self):
-        assert _check_deep_block() <= 1e-4
+        assert probe_case(_check_deep_block()) <= 1e-4
 
 
 class TestReductionBlock:
@@ -88,4 +88,4 @@ class TestReductionBlock:
         assert not y[:, 3:].any()
 
     def test_gradient_against_finite_differences(self):
-        assert _check_reduction_block() <= 1e-4
+        assert probe_case(_check_reduction_block()) <= 1e-4

@@ -278,6 +278,15 @@ class TestEvaluateCommand:
                if l.startswith("avg_hausdorff_mm")]
         assert fwd == rev
 
+    def test_empty_truth_scores_nan_sensitivity(self, tmp_path, capsys):
+        empty = np.zeros((8, 8, 8), bool)
+        p = self.write_mask(tmp_path, "p.mha", empty)
+        t = self.write_mask(tmp_path, "t.mha", empty)
+        assert main(["evaluate", "--pred", p, "--truth", t]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "dice = 1.000000" in out
+        assert "sensitivity = nan" in out
+
     def test_unpaired_sets_exit_io(self, tmp_path):
         m = self.write_mask(tmp_path, "m.mha", np.ones((4, 4, 4), bool))
         assert main(["evaluate", "--pred", m, m, "--truth", m]) == EXIT_IO
@@ -296,6 +305,43 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "baseline" in out
         assert out.count("Avg. Hausdorff Dist.[mm]") == 2
+
+    def test_report_text_pinned(self, tmp_path, capsys):
+        # two volumes, one anisotropic, with model and baseline rows; the
+        # whole text printed and written must stay byte for byte the same
+        g = np.random.default_rng(4)
+        argv = {"--pred": [], "--truth": [], "--image": []}
+        for i, spacing in enumerate([(1.0, 1.0, 1.0), (0.5, 1.0, 2.0)]):
+            truth = g.random((8, 8, 8)) < 0.15
+            pred = truth ^ (g.random((8, 8, 8)) < 0.05)
+            img = g.random((8, 8, 8)) + 0.6 * truth
+            img[g.random((8, 8, 8)) < 0.02] = 1.5
+            for flag, arr, kind in (("--pred", pred, "MET_UCHAR"),
+                                    ("--truth", truth, "MET_UCHAR"),
+                                    ("--image", img, "MET_FLOAT")):
+                path = str(tmp_path / f"{flag[2:]}{i}.mha")
+                save_metaimage(Volume(arr.astype(np.float32), spacing), path, kind)
+                argv[flag].append(path)
+        out = tmp_path / "report.txt"
+        assert main(["evaluate"] + sum([[k] + v for k, v in argv.items()], [])
+                    + ["--out", str(out)]) == EXIT_OK
+        expected = (
+            "volume = pred0.mha\ndice = 0.840000\nsensitivity = 0.984375\n"
+            "avg_hausdorff_mm = 0.183140\nspacing_mm = 1.0 1.0 1.0\n\n"
+            "volume = pred1.mha\ndice = 0.818182\nsensitivity = 0.926471\n"
+            "avg_hausdorff_mm = 0.176683\nspacing_mm = 0.5 1.0 2.0\n\n"
+            "Dice\t0.8291\t0.0154\nSensitivity\t0.9554\t0.0409\n"
+            "Avg. Hausdorff Dist.[mm]\t0.1799\t0.0046\n"
+            "\nbaseline (threshold at 70% of max intensity)\n"
+            "volume = baseline:image0.mha\ndice = 0.609524\nsensitivity = 0.500000\n"
+            "avg_hausdorff_mm = 0.526257\nspacing_mm = 1.0 1.0 1.0\n\n"
+            "volume = baseline:image1.mha\ndice = 0.616667\nsensitivity = 0.544118\n"
+            "avg_hausdorff_mm = 0.401426\nspacing_mm = 0.5 1.0 2.0\n\n"
+            "Dice\t0.6131\t0.0051\nSensitivity\t0.5221\t0.0312\n"
+            "Avg. Hausdorff Dist.[mm]\t0.4638\t0.0883\n"
+        )
+        assert capsys.readouterr().out == expected
+        assert out.read_text() == expected
 
 
 def test_version_flag():

@@ -1,7 +1,11 @@
 """The gradient-check harness itself: error metric, corruption detection."""
+import pytest
+
 from uception.gradcheck import (
+    CHECKS,
     _check_conv,
     format_results,
+    probe_case,
     rel_error,
     run_suite,
 )
@@ -16,9 +20,22 @@ def test_rel_error_metric():
 
 
 def test_conv_check_detects_corruption_directly():
-    clean = _check_conv(3, 1, SAME, 2, 2, 6, corrupt=False)
-    broken = _check_conv(3, 1, SAME, 2, 2, 6, corrupt=True)
+    clean = probe_case(_check_conv(3, 1, SAME, 2, 2, 6))
+    broken = probe_case(_check_conv(3, 1, SAME, 2, 2, 6), corrupt=True)
     assert clean <= 1e-4 < broken
+
+
+@pytest.mark.parametrize("name", [
+    "relu",                # elementwise
+    "maxpool-3cube-same",  # pool
+    "conv-7cube-same",     # conv
+    "soft-dice-smooth0",   # soft-Dice
+    "reduction-block",     # block
+    "unet3d-miniature",    # model
+])
+def test_every_check_family_detects_corruption(name):
+    (make, tol), = [(make, tol) for n, make, tol in CHECKS if n == name]
+    assert probe_case(make(), corrupt=True) > tol
 
 
 def test_corrupted_backward_reported_as_failing_layer():

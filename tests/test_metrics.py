@@ -211,6 +211,19 @@ class TestReports:
         assert report.dice == 0.0
         assert np.isnan(report.avg_hausdorff_mm)
 
+    def test_evaluate_masks_handles_empty_truth(self):
+        z = np.zeros((4, 4, 4), bool)
+        p = z.copy()
+        p[1, 1, 1] = True
+        both_empty = metrics.evaluate_masks(z, z)
+        assert both_empty.dice == 1.0
+        assert np.isnan(both_empty.sensitivity)
+        assert np.isnan(both_empty.avg_hausdorff_mm)
+        spurious = metrics.evaluate_masks(p, z)
+        assert spurious.dice == 0.0
+        assert np.isnan(spurious.sensitivity)
+        assert np.isnan(spurious.avg_hausdorff_mm)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 4.0))

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from uception import layers
 from uception.errors import CheckpointError, ShapeError
 from uception.layers import Context
 from uception.models import (
@@ -126,6 +127,22 @@ class TestUception:
         grads = {}
         gx = model.backward(np.ones_like(y), cache, grads)
         assert np.abs(gx).max() > 0.0
+
+
+class TestParameterWalk:
+    def test_walk_reaches_every_conv_in_build_order(self):
+        model = build_uception(UceptionCfg(base_depth=2, levels=1), seed=0)
+        names = [layer.name for layer in layers.walk(model)
+                 if isinstance(layer, layers.Conv3d)]
+        assert names[0] == "stem.conv" and names[-1] == "head.conv"
+        assert list(model.parameters()) == [
+            f"{n}.{p}" for n in names for p in ("w", "b")]
+
+    def test_duplicate_parameter_name_rejected(self):
+        chain = layers.Chain([layers.conv_unit("same", 1, 1, 1),
+                              layers.conv_unit("same", 1, 1, 1)])
+        with pytest.raises(ShapeError, match="duplicate parameter name same.w"):
+            layers.parameters(chain)
 
 
 class TestUnetBaseline:

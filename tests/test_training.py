@@ -165,6 +165,14 @@ class TestValidate:
         assert report.dice == 1.0 and report.sensitivity == 1.0
         assert report.avg_hausdorff_mm == 0.0
 
+    def test_all_background_truth_validates(self):
+        model = build_uception(UceptionCfg(base_depth=1, levels=1), seed=0)
+        image = np.random.default_rng(6).random((16, 16, 16)).astype(np.float32)
+        loss, report = validate(model, image, np.zeros((16, 16, 16)), patch=8)
+        assert np.isfinite(loss)
+        assert report.dice in (0.0, 1.0)
+        assert np.isnan(report.sensitivity)
+
     def test_reassembled_shape_matches_input(self):
         model = build_uception(UceptionCfg(base_depth=1, levels=1), seed=0)
         image = np.random.default_rng(5).random((20, 12, 28)).astype(np.float32)
