@@ -17,11 +17,10 @@ from uception import (
     cyclic_lr,
     generate_phantom,
     snapshot_average,
-    snapshot_update,
     train_epoch,
     validate,
 )
-from uception.training import SnapshotSet
+from uception.training import SnapshotSet, snapshot_after_epoch, snapshot_fallback
 from uception.volume import volume_to_mask
 
 # six small phantoms: five to train on, one held out
@@ -38,27 +37,19 @@ adam = AdamState()
 schedule = CyclicSchedule(lr_max=2e-3, lr_min=1e-4, cycle_epochs=5)
 snapshots = SnapshotSet(capacity=3)
 
-history, pending = [], None
 for epoch in range(10):
     adam.lr = cyclic_lr(schedule, epoch)
     loss = train_epoch(model, train_set, adam, batch=2, patch=8,
                        seed=[0, epoch], patches_per_epoch=20, min_fg_frac=0.02)
     val_loss, report = validate(model, val_img, val_truth, patch=8)
-    # an epoch is a snapshot when its validation loss undercuts both neighbors
-    captured = (len(history) >= 2 and pending is not None
-                and history[-1] < history[-2] and history[-1] < val_loss)
-    if captured:
-        snapshot_update(snapshots, epoch - 1, history[-1], pending)
-    history.append(val_loss)
-    pending = {k: v.copy() for k, v in model.parameters().items()}
+    # captures the previous epoch when its validation loss undercuts both neighbors
+    captured = snapshot_after_epoch(snapshots, val_loss, model.parameters())
     print(f"epoch {epoch}: lr={adam.lr:.2e} train={loss:+.3f} val={val_loss:+.3f} "
           f"dice@0.9={report.dice:.3f}" + ("  <- snapshot" if captured else ""))
 
-if len(snapshots) == 0:
-    snapshot_update(snapshots, 9, history[-1], pending)
-averaged = build_uception(UceptionCfg(base_depth=2, levels=1, dropout_rate=0.1), seed=0)
-averaged.set_parameters(snapshot_average(snapshots))
-val_loss, report = validate(averaged, val_img, val_truth, patch=8)
+snapshot_fallback(snapshots)
+model.set_parameters(snapshot_average(snapshots))
+val_loss, report = validate(model, val_img, val_truth, patch=8)
 print(f"\naveraged over {len(snapshots)} snapshot(s): val={val_loss:+.3f}, "
       f"dice@0.9={report.dice:.3f}")
 print("ten epochs on 24-cube phantoms is a smoke test; the 40-epoch recipe in"

@@ -1,10 +1,11 @@
 """Batch command-line entry points: phantom, train, segment, evaluate,
 gradcheck.
 
-Every command writes a manifest.json into its output directory recording
-the exact configuration, seed and package version, so any artifact can be
-regenerated by replaying the manifest. Exit codes: 0 success, 2 config
-error, 3 I/O error, 4 numeric error or failed check.
+phantom, train and segment write a manifest.json into their output
+directory recording the exact configuration, seed and package version, so
+their artifacts can be regenerated by replaying the manifest; evaluate and
+gradcheck write none. Exit codes: 0 success, 2 config error, 3 I/O error,
+4 numeric error or failed check.
 """
 from __future__ import annotations
 
@@ -53,8 +54,9 @@ from .training import (
     parse_config,
     preprocess_pair,
     save_train_state,
+    snapshot_after_epoch,
     snapshot_average,
-    snapshot_update,
+    snapshot_fallback,
     train_epoch,
     validate,
     predict_volume,
@@ -169,8 +171,6 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
     log_path = os.path.join(out_dir, "train_log.tsv")
     config_snapshot = os.path.join(out_dir, "config.used")
 
-    val_history = []
-    pending = None
     start_epoch = 0
     if resume and os.path.exists(state_path):
         with open(config_snapshot, encoding="utf-8") as fh:
@@ -181,8 +181,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
                     f"resume config mismatch on {f!r}: state has "
                     f"{getattr(stored, f)}, new config has {getattr(cfg, f)}"
                 )
-        epoch_done, val_history, pending = load_train_state(state_path, model, adam,
-                                                            snap)
+        epoch_done = load_train_state(state_path, model, adam, snap)
         start_epoch = epoch_done + 1
         _truncate_log(log_path, epoch_done)
         echo(f"resuming after epoch {epoch_done}")
@@ -193,13 +192,9 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
             fh.write(_LOG_HEADER)
 
     def validate_all(m):
-        losses = []
-        for vimg, vmask, vspacing in val_set:
-            loss, _ = validate(m, vimg, vmask, patch=cfg.patch, spacing=vspacing)
-            losses.append(loss)
-        return float(np.mean(losses))
+        return float(np.mean([validate(m, img, mask, patch=cfg.patch, spacing=sp)[0]
+                              for img, mask, sp in val_set]))
 
-    params = model.parameters()
     for epoch in range(start_epoch, cfg.epochs):
         adam.lr = cyclic_lr(schedule, epoch)
         train_loss = train_epoch(
@@ -208,23 +203,15 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
             patches_per_epoch=cfg.patches_per_epoch,
         )
         val_loss = validate_all(model)
-        captured = 0
-        if (len(val_history) >= 2 and pending is not None
-                and val_history[-1] < val_history[-2] and val_history[-1] < val_loss):
-            snapshot_update(snap, epoch - 1, val_history[-1], pending)
-            captured = 1
-        val_history.append(val_loss)
-        pending = {k: v.copy() for k, v in params.items()}
+        captured = snapshot_after_epoch(snap, val_loss, model.parameters())
         with open(log_path, "a", encoding="utf-8") as fh:
             fh.write(f"{epoch}\t{adam.lr:.8g}\t{train_loss:.6f}\t{val_loss:.6f}"
-                     f"\t{captured}\n")
-        save_train_state(state_path, model, adam, epoch, val_history, snap, pending)
+                     f"\t{captured:d}\n")
+        save_train_state(state_path, model, adam, epoch, snap)
         echo(f"epoch {epoch}: lr={adam.lr:.2e} train={train_loss:.4f} "
              f"val={val_loss:.4f}{' snapshot' if captured else ''}")
 
-    if len(snap) == 0 and val_history:
-        # no interior local minimum; keep the final weights
-        snapshot_update(snap, cfg.epochs - 1, val_history[-1], params)
+    snapshot_fallback(snap)
     # the trained model carries each saved parameter set in turn:
     # last, then every snapshot, then their average
     last_path = os.path.join(out_dir, "model_last.ucpt")
@@ -238,7 +225,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
     avg_val = validate_all(model)
     save_checkpoint(model, avg_path)
     return {
-        "val_history": val_history,
+        "val_history": snap.history,
         "snapshots": [(e, v) for v, e, _ in snap.entries],
         "avg_val_loss": avg_val,
         "worst_snapshot_loss": snap.worst_loss,
@@ -310,16 +297,10 @@ def _load_mask(path):
 
 
 def cmd_evaluate(args):
-    if len(args.pred) != len(args.truth):
-        raise DataError(
-            f"unpaired file sets: {len(args.pred)} predictions vs "
-            f"{len(args.truth)} truths"
-        )
-    if args.image and len(args.image) != len(args.truth):
-        raise DataError(
-            f"unpaired file sets: {len(args.image)} images vs "
-            f"{len(args.truth)} truths"
-        )
+    for what, paths in (("predictions", args.pred), ("images", args.image)):
+        if paths and len(paths) != len(args.truth):
+            raise DataError(f"unpaired file sets: {len(paths)} {what} vs "
+                            f"{len(args.truth)} truths")
 
     def pred_mask(path):
         return _load_mask(path)[0]

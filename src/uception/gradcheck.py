@@ -281,6 +281,9 @@ def run_suite(corrupt=None):
     corrupt names one check whose analytic gradients are deliberately
     perturbed (a self-test that failures are detected and attributed).
     """
+    names = [name for name, _, _ in CHECKS]
+    if corrupt is not None and corrupt not in names:
+        raise ValueError(f"unknown check {corrupt!r}; valid names: {', '.join(names)}")
     return [CheckResult(name, probe_case(make(), corrupt=name == corrupt), tol)
             for name, make, tol in CHECKS]
 

@@ -19,6 +19,7 @@ Checkpoint layout (version 1, all integers little-endian):
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ from .tensor import as_tensor5
 
 CHECKPOINT_MAGIC = b"UCPT"
 CHECKPOINT_VERSION = 1
+MAX_RANK = 5  # conv weights: (out, in, kd, kh, kw)
 
 
 @dataclass(frozen=True)
@@ -333,14 +335,14 @@ def _cfg_record(model):
 
 def _parse_cfg_record(blob):
     fields = {}
-    for line in blob.decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"malformed config line {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
     try:
+        for line in blob.decode("utf-8").splitlines():
+            if not line.strip():
+                continue
+            if "=" not in line:
+                raise CheckpointError(f"malformed config line {line!r}")
+            key, _, value = line.partition("=")
+            fields[key.strip()] = value.strip()
         kind = fields["kind"]
         cfg = UceptionCfg(
             base_depth=int(fields["depth"]),
@@ -417,10 +419,13 @@ def load_checkpoint(source, dtype=np.float32):
     values = {}
     for _ in range(n_params):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        # a name that is not UTF-8 matches no parameter: set_parameters rejects it
+        name = bytes(take(name_len)).decode("utf-8", "replace")
         (ndim,) = struct.unpack("<I", take(4))
+        if ndim > MAX_RANK:
+            raise CheckpointError(f"parameter {name!r}: rank {ndim} above {MAX_RANK}")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
+        count = math.prod(shape)
         data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
         values[name] = data
     if pos != len(view):

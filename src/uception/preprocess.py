@@ -92,12 +92,9 @@ def resample_nearest_indices(target_extents, target_spacing, source_extents,
     """Per-axis nearest-neighbour gather indices mapping a source grid onto
     a target grid by physical voxel-center position (the inverse resample
     used to carry masks back to their original spacing)."""
-    indices = []
-    for n_t, s_t, n_s, s_s in zip(target_extents, target_spacing,
-                                  source_extents, source_spacing):
-        f = (np.arange(n_t, dtype=np.float64) + 0.5) * (s_t / s_s) - 0.5
-        indices.append(np.clip(np.rint(f).astype(np.intp), 0, n_s - 1))
-    return tuple(indices)
+    return tuple(np.rint(_axis_fractional_index(n_t, s_t / s_s, n_s)).astype(np.intp)
+                 for n_t, s_t, n_s, s_s in zip(target_extents, target_spacing,
+                                               source_extents, source_spacing))
 
 
 def pad_to_multiple(data, multiple):

@@ -8,13 +8,13 @@ one without serializing generator state.
 """
 from __future__ import annotations
 
-import io
 import os
+import zipfile
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import Context, INFER, TRAIN
 from .metrics import evaluate_masks, soft_dice, soft_dice_backward
 from .models import UceptionCfg, build_uception, build_unet3d_baseline
@@ -66,12 +66,11 @@ def parse_config(text) -> TrainConfig:
             )
         values[key] = value
     cfg = TrainConfig()
-    casts = {int: int, float: float, str: str}
     for key, value in values.items():
-        kind = type(getattr(cfg, key))
+        kind = type(getattr(cfg, key))  # int, float or str
         try:
-            values[key] = casts[kind](value)
-        except (ValueError, KeyError) as exc:
+            values[key] = kind(value)
+        except ValueError as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
                               f"{kind.__name__}") from exc
     cfg = replace(cfg, **values)
@@ -220,13 +219,18 @@ def validate(model, image, truth, *, patch=64, spacing=(1.0, 1.0, 1.0),
 
 
 class SnapshotSet:
-    """Best-k parameter snapshots ordered by validation loss."""
+    """Best-k parameter snapshots ordered by validation loss, with the
+    schedule state that picks them: history[e] is epoch e's validation loss,
+    and pending is a copy of the last epoch's parameters, kept until the
+    next epoch shows whether that loss was a local minimum."""
 
     def __init__(self, capacity=5):
         if capacity < 1:
             raise ShapeError("snapshot capacity must be >= 1")
         self.capacity = capacity
         self.entries = []  # (val_loss, epoch, params dict)
+        self.history = []
+        self.pending = None
 
     def __len__(self):
         return len(self.entries)
@@ -247,17 +251,36 @@ def snapshot_update(snap: SnapshotSet, epoch, val_loss, params):
     return snap
 
 
+def snapshot_after_epoch(snap: SnapshotSet, val_loss, params):
+    """Close an epoch: the previous epoch is captured when its validation
+    loss is below both neighbours'; then val_loss is recorded and params
+    copied as the new pending set. Returns whether a snapshot was taken."""
+    history = snap.history
+    captured = len(history) >= 2 and history[-2] > history[-1] < val_loss
+    if captured:
+        snapshot_update(snap, len(history) - 1, history[-1], snap.pending)
+    history.append(float(val_loss))
+    snap.pending = {k: v.copy() for k, v in params.items()}
+    return captured
+
+
+def snapshot_fallback(snap: SnapshotSet):
+    """With no snapshot captured, keep the last epoch's weights, labelled
+    with the epoch they come from."""
+    if not snap.entries and snap.history:
+        snapshot_update(snap, len(snap.history) - 1, snap.history[-1], snap.pending)
+
+
 def snapshot_average(snap: SnapshotSet):
     """Element-wise arithmetic mean of the stored parameter vectors."""
     if not snap.entries:
         raise DataError("cannot average an empty snapshot set")
     out = {}
-    n = len(snap.entries)
-    for name in snap.entries[0][2]:
-        acc = np.zeros_like(snap.entries[0][2][name], dtype=np.float64)
+    for name, first in snap.entries[0][2].items():
+        acc = np.zeros(first.shape)
         for _, _, params in snap.entries:
             acc += params[name]
-        out[name] = (acc / n).astype(snap.entries[0][2][name].dtype)
+        out[name] = (acc / len(snap.entries)).astype(first.dtype)
     return out
 
 
@@ -265,58 +288,59 @@ def snapshot_average(snap: SnapshotSet):
 # resumable state
 
 
-def save_train_state(path, model, adam: AdamState, epoch_done, val_history,
-                     snap: SnapshotSet, pending):
+def save_train_state(path, model, adam: AdamState, epoch_done, snap: SnapshotSet):
+    """Atomically write meta.* scalars and history, then one group::name
+    array per parameter in the groups param, adam_m, adam_v and snap<i>,
+    with snapmeta::<i> = [val_loss, epoch]. snap.pending is not stored: at
+    every save it equals the parameters."""
     arrays = {"meta.epoch_done": np.array(epoch_done, dtype=np.int64),
               "meta.step": np.array(adam.step, dtype=np.int64),
-              "meta.val_history": np.asarray(val_history, dtype=np.float64)}
-    for name, arr in model.parameters().items():
-        arrays[f"param::{name}"] = arr
-    for name, arr in adam.m.items():
-        arrays[f"adam_m::{name}"] = arr
-    for name, arr in adam.v.items():
-        arrays[f"adam_v::{name}"] = arr
-    if pending is not None:
-        for name, arr in pending.items():
-            arrays[f"pending::{name}"] = arr
+              "meta.val_history": np.asarray(snap.history, dtype=np.float64)}
+    groups = [("param", model.parameters()), ("adam_m", adam.m), ("adam_v", adam.v)]
     for i, (val_loss, epoch, params) in enumerate(snap.entries):
-        arrays[f"snapmeta::{i}"] = np.array([val_loss, float(epoch)])
-        for name, arr in params.items():
-            arrays[f"snap{i}::{name}"] = arr
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
+        groups += [("snapmeta", {str(i): np.array([val_loss, float(epoch)])}),
+                   (f"snap{i}", params)]
+    for group, values in groups:
+        for name, arr in values.items():
+            arrays[f"{group}::{name}"] = arr
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
+        np.savez(fh, **arrays)
     os.replace(tmp, path)
 
 
 def load_train_state(path, model, adam: AdamState, snap: SnapshotSet):
-    with np.load(path) as data:
-        epoch_done = int(data["meta.epoch_done"])
-        adam.step = int(data["meta.step"])
-        val_history = [float(v) for v in data["meta.val_history"]]
-        params = {}
-        pending = {}
-        snap_params = {}
-        snap_meta = {}
-        for key in data.files:
-            if key.startswith("param::"):
-                params[key[len("param::"):]] = data[key]
-            elif key.startswith("adam_m::"):
-                adam.m[key[len("adam_m::"):]] = data[key].astype(np.float64)
-            elif key.startswith("adam_v::"):
-                adam.v[key[len("adam_v::"):]] = data[key].astype(np.float64)
-            elif key.startswith("pending::"):
-                pending[key[len("pending::"):]] = data[key]
-            elif key.startswith("snapmeta::"):
-                snap_meta[int(key[len("snapmeta::"):])] = data[key]
-            elif key.startswith("snap") and "::" in key:
-                idx, name = key.split("::", 1)
-                snap_params.setdefault(int(idx[4:]), {})[name] = data[key]
-        model.set_parameters(params)
-        snap.entries = []
-        for i in sorted(snap_meta):
-            val_loss, epoch = snap_meta[i]
-            snap.entries.append((float(val_loss), int(epoch), snap_params[i]))
-    return epoch_done, val_history, (pending or None)
+    """Restore model, adam and snap from save_train_state's file; returns
+    the last finished epoch. A damaged file raises CheckpointError before
+    any of the three is touched."""
+    live = model.parameters()
+    try:
+        groups = {}
+        with np.load(path) as data:
+            for key in data.files:
+                group, _, name = key.rpartition("::")
+                groups.setdefault(group, {})[name] = data[key]
+        meta, metas = groups.pop(""), groups.pop("snapmeta", {})
+        epoch_done, step = int(meta["meta.epoch_done"]), int(meta["meta.step"])
+        history = [float(v) for v in meta["meta.val_history"]]
+        entries = [(float(metas[str(i)][0]), int(metas[str(i)][1]), groups[f"snap{i}"])
+                   for i in range(len(metas))]
+    except (zipfile.BadZipFile, NotImplementedError, EOFError, ValueError, KeyError,
+            IndexError, TypeError) as exc:  # what a damaged npz raises while parsed
+        raise CheckpointError(f"{path}: not a readable training state "
+                              f"({type(exc).__name__}: {exc})") from exc
+    expected = {"param", "adam_m", "adam_v", *(f"snap{i}" for i in range(len(entries)))}
+    if len(history) != epoch_done + 1 or set(groups) != expected:
+        raise CheckpointError(f"{path}: {len(history)} validation losses after "
+                              f"{epoch_done + 1} epochs; groups {sorted(groups)}")
+    for group, values in groups.items():
+        if values.keys() != live.keys() or any(
+                v.shape != live[k].shape for k, v in values.items()):
+            raise CheckpointError(f"{path}: group {group!r} does not match the model")
+    model.set_parameters(groups["param"])
+    adam.step = step
+    adam.m, adam.v = ({k: a.astype(np.float64) for k, a in groups[g].items()}
+                      for g in ("adam_m", "adam_v"))
+    snap.entries, snap.history = entries, history
+    snap.pending = {k: v.copy() for k, v in live.items()}
+    return epoch_done

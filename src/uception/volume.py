@@ -139,9 +139,7 @@ def read_metaimage(blob, raw_payload=None):
         raise MetaImageError(f"expected bytes, got {type(blob).__name__}")
     pairs, local_payload = _split_header(bytes(blob))
     header = MetaImageHeader()
-    seen = {}
-    for key, value in pairs:
-        seen[key] = value
+    seen = dict(pairs)
     if "NDims" not in seen:
         raise MetaImageMissingKey("NDims")
     try:

@@ -171,6 +171,18 @@ class TestTrainCommand:
         assert same_bytes(full_f64_run, out, "train_log.tsv")
         assert same_bytes(full_f64_run, out, "model_last.ucpt")
 
+    def test_resume_from_truncated_state_is_io_error(self, tmp_path, tiny_data, capsys):
+        out = tmp_path / "cut"
+        config = write_config(tmp_path)
+        assert main(["train", "--config", config, "--data", tiny_data,
+                     "--out", str(out)]) == EXIT_OK
+        state = out / "train_state.npz"
+        state.write_bytes(state.read_bytes()[: state.stat().st_size // 2])
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--data", tiny_data,
+                     "--out", str(out), "--resume"]) == EXIT_IO
+        assert "train_state.npz" in capsys.readouterr().err
+
     def test_resume_with_changed_config_rejected(self, tmp_path, tiny_data, capsys):
         out = tmp_path / "rc"
         assert main(["train", "--config", write_config(tmp_path, epochs=2),

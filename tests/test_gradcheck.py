@@ -44,3 +44,8 @@ def test_corrupted_backward_reported_as_failing_layer():
     assert failing == ["conv-5cube-same"]
     text = format_results(results)
     assert "FAIL\tconv-5cube-same" in text
+
+
+def test_unknown_corrupt_name_rejected():
+    with pytest.raises(ValueError, match="conv-5cube-same"):
+        run_suite(corrupt="conv-5cube")

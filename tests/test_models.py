@@ -242,6 +242,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(b"NOPE" + b"\x00" * 40)
 
+    def first_name_offset(self, blob):
+        (cfg_len,) = struct.unpack("<I", blob[8:12])
+        return 12 + cfg_len + 8  # past the record, the count and the name length
+
+    def test_non_utf8_bytes_rejected(self):
+        blob = save_checkpoint(build_uception(UceptionCfg(base_depth=1, levels=1),
+                                              seed=0))
+        for pos in (12, self.first_name_offset(blob)):  # config record, name
+            bad = bytearray(blob)
+            bad[pos] = 0xFF
+            with pytest.raises(CheckpointError, match="utf-8|do not match"):
+                load_checkpoint(bytes(bad))
+
+    def test_rank_above_five_rejected(self):
+        blob = save_checkpoint(build_uception(UceptionCfg(base_depth=1, levels=1),
+                                              seed=0))
+        pos = self.first_name_offset(blob)
+        pos += struct.unpack("<I", blob[pos - 4:pos])[0]
+        bad = blob[:pos] + struct.pack("<I", 210) + blob[pos + 4:]
+        with pytest.raises(CheckpointError, match="rank 210"):
+            load_checkpoint(bad)
+
     def test_save_load_forward_agreement(self, tmp_path):
         cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.0)
         model = build_uception(cfg, seed=10, dtype=np.float32)

@@ -1,10 +1,20 @@
-"""Adam updates, the cosine cyclic schedule, and snapshot bookkeeping."""
+"""Adam updates, the cosine cyclic schedule, snapshot bookkeeping and the
+resume state that carries it."""
 import numpy as np
 import pytest
 
 from uception.errors import DataError, NumericError, ShapeError
+from uception.models import UceptionCfg, build_uception
 from uception.optim import AdamState, CyclicSchedule, adam_step, cyclic_lr
-from uception.training import SnapshotSet, snapshot_average, snapshot_update
+from uception.training import (
+    SnapshotSet,
+    load_train_state,
+    save_train_state,
+    snapshot_after_epoch,
+    snapshot_average,
+    snapshot_fallback,
+    snapshot_update,
+)
 
 
 class TestAdam:
@@ -121,19 +131,62 @@ class TestSnapshots:
             snapshot_average(SnapshotSet())
 
     def test_monotone_loss_sequence_captures_only_final_fallback(self):
-        # simulate the driver's local-minimum rule over a strictly
-        # decreasing loss sequence: no interior epoch qualifies
+        # strictly decreasing losses: no interior epoch is a local minimum,
+        # so only the fallback stores a snapshot, of the last epoch
         losses = [-0.1, -0.2, -0.3, -0.4, -0.5]
         snap = SnapshotSet(capacity=5)
-        history = []
-        pending = None
-        for epoch, val in enumerate(losses):
-            if (len(history) >= 2 and pending is not None
-                    and history[-1] < history[-2] and history[-1] < val):
-                snapshot_update(snap, epoch - 1, history[-1], pending)
-            history.append(val)
-            pending = self.params(epoch)
+        captured = [snapshot_after_epoch(snap, val, self.params(epoch))
+                    for epoch, val in enumerate(losses)]
+        assert not any(captured)
         assert len(snap) == 0
-        snapshot_update(snap, len(losses) - 1, losses[-1], pending)  # fallback
+        snapshot_fallback(snap)
         assert len(snap) == 1
         assert snap.entries[0][1] == 4
+        assert np.array_equal(snap.entries[0][2]["w"], np.full(3, 4.0))
+
+    def test_interior_minimum_captures_that_epoch(self):
+        snap = SnapshotSet()
+        live = self.params(0)  # updated in place, as a model's parameters are
+        captured = []
+        for epoch, val in enumerate([-0.1, -0.5, -0.3]):
+            live["w"][...] = epoch
+            live["b"][...] = epoch / 2.0
+            captured.append(snapshot_after_epoch(snap, val, live))
+        assert captured == [False, False, True]
+        (loss, epoch, params), = snap.entries
+        assert (loss, epoch) == (-0.5, 1)
+        assert np.array_equal(params["w"], np.full(3, 1.0))
+        assert np.array_equal(params["b"], [0.5])
+        assert snap.history == [-0.1, -0.5, -0.3]
+        snapshot_fallback(snap)  # a capture exists, so nothing is added
+        assert len(snap) == 1
+
+    def test_state_round_trip_restores_schedule(self, tmp_path):
+        cfg = UceptionCfg(base_depth=1, levels=1)
+        model = build_uception(cfg, seed=0, dtype=np.float64)
+        adam = AdamState(step=3)
+        adam.m = {k: np.full(v.shape, 0.25) for k, v in model.parameters().items()}
+        adam.v = {k: np.full(v.shape, 0.5) for k, v in model.parameters().items()}
+        snap = SnapshotSet(capacity=3)
+        for val in (-0.1, -0.5, -0.3):
+            snapshot_after_epoch(snap, val, model.parameters())
+        path = str(tmp_path / "train_state.npz")
+        save_train_state(path, model, adam, 2, snap)
+        with np.load(path) as data:
+            assert not [k for k in data.files if k.startswith("pending::")]
+
+        back = build_uception(cfg, seed=1, dtype=np.float64)
+        adam_back, snap_back = AdamState(), SnapshotSet(capacity=3)
+        assert load_train_state(path, back, adam_back, snap_back) == 2
+        assert snap_back.history == snap.history
+        assert adam_back.step == 3
+        loaded = back.parameters()
+        assert snap_back.pending.keys() == loaded.keys()
+        for name, arr in loaded.items():
+            assert np.array_equal(arr, model.parameters()[name]), name
+            assert np.array_equal(snap_back.pending[name], arr), name
+            assert snap_back.pending[name] is not arr
+            assert np.array_equal(adam_back.v[name], adam.v[name]), name
+        [(loss, epoch, params)] = snap_back.entries
+        assert (loss, epoch) == (-0.5, 1)
+        assert all(np.array_equal(params[k], v) for k, v in loaded.items())

@@ -1,19 +1,25 @@
 """Training loop semantics: determinism, loss descent, validation tiling,
-patch sampling, config parsing."""
+patch sampling, config parsing, the resume state file."""
+import io
+
 import numpy as np
 import pytest
 
-from uception.errors import ConfigError, DataError
+from uception.errors import CheckpointError, ConfigError, DataError
 from uception.metrics import soft_dice
 from uception.models import UceptionCfg, build_uception
 from uception.optim import AdamState
 from uception.phantom import PhantomSpec, generate_phantom
 from uception.training import (
+    SnapshotSet,
     TrainConfig,
     format_config,
+    load_train_state,
     parse_config,
     predict_volume,
     sample_patch,
+    save_train_state,
+    snapshot_after_epoch,
     train_epoch,
     validate,
 )
@@ -210,3 +216,47 @@ class TestConfig:
     def test_bad_model_name(self):
         with pytest.raises(ConfigError):
             parse_config("model = resnet\n")
+
+
+class TestTrainState:
+    def state_file(self, tmp_path):
+        model = build_uception(UceptionCfg(base_depth=1, levels=1), seed=0)
+        adam = AdamState(step=1)
+        adam.m = {k: np.zeros(v.shape) for k, v in model.parameters().items()}
+        adam.v = {k: np.ones(v.shape) for k, v in model.parameters().items()}
+        snap = SnapshotSet()
+        for val in (-0.1, -0.5, -0.3):
+            snapshot_after_epoch(snap, val, model.parameters())
+        path = tmp_path / "train_state.npz"
+        save_train_state(str(path), model, adam, 2, snap)
+        return path, model
+
+    @pytest.mark.parametrize("drop", ["meta.step", "snapmeta::0", "snap0::"])
+    def test_missing_entries_rejected(self, tmp_path, drop):
+        path, model = self.state_file(tmp_path)
+        with np.load(path) as data:
+            kept = {k: data[k] for k in data.files if not k.startswith(drop)}
+        np.savez(path, **kept)
+        with pytest.raises(CheckpointError):
+            load_train_state(str(path), model, AdamState(), SnapshotSet())
+
+    def test_mutations_only_structured_errors(self, tmp_path):
+        path, model = self.state_file(tmp_path)
+        base = path.read_bytes()
+        g = np.random.default_rng(17)
+        crashes = []
+        for case in range(300):
+            buf = bytearray(base)
+            if case % 2:  # flip random bytes anywhere
+                for _ in range(int(g.integers(1, 8))):
+                    buf[int(g.integers(len(buf)))] = int(g.integers(256))
+            else:  # truncate
+                buf = buf[: int(g.integers(0, len(buf)))]
+            try:
+                load_train_state(io.BytesIO(bytes(buf)), model, AdamState(),
+                                 SnapshotSet())
+            except CheckpointError:
+                pass
+            except Exception as exc:  # pragma: no cover - failure reporting
+                crashes.append((case, type(exc).__name__, str(exc)[:80]))
+        assert not crashes, f"unstructured failures: {crashes[:5]}"
