@@ -39,6 +39,6 @@ print(f"baseline sensitivity : {report.sensitivity:.3f}")
 print(f"baseline avg Hausdorff: {report.avg_hausdorff_mm:.2f} mm")
 
 # the pair can be written as MetaImage for any external viewer
-save_metaimage(norm, "/tmp/phantom_img.mha", "MET_FLOAT")
-save_metaimage(truth, "/tmp/phantom_seg.mha", "MET_UCHAR")
-print("wrote /tmp/phantom_img.mha and /tmp/phantom_seg.mha")
+save_metaimage(norm, "phantom_img.mha", "MET_FLOAT")
+save_metaimage(truth, "phantom_seg.mha", "MET_UCHAR")
+print("wrote phantom_img.mha and phantom_seg.mha in the working directory")

@@ -5,7 +5,7 @@ Training loop in miniature
 Trains a tiny network on tiny phantoms for ten epochs: cosine cyclic
 learning rate, Adam on the negative soft Dice, whole-volume validation,
 snapshot capture at validation-loss local minima, and weight averaging.
-Runs in about ten seconds on a laptop CPU; the full desk-scale recipe
+Runs in a few seconds on a laptop CPU; the full desk-scale recipe
 lives in configs/phantom.cfg.
 """
 from uception import (
@@ -34,7 +34,7 @@ train_set, (val_img, val_truth) = volumes[:5], volumes[5]
 
 model = build_uception(UceptionCfg(base_depth=2, levels=1, dropout_rate=0.1), seed=0)
 adam = AdamState()
-schedule = CyclicSchedule(lr_max=2e-3, lr_min=1e-4, cycle_epochs=5)
+schedule = CyclicSchedule(lr_max=2e-3, lr_min=1e-4, cycle_epochs=4)
 snapshots = SnapshotSet(capacity=3)
 
 for epoch in range(10):

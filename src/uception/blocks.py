@@ -13,6 +13,7 @@ import numpy as np
 from . import layers, ops
 from .errors import ShapeError
 from .layers import Chain, Context, MaxPool3d, conv_unit
+from .tensor import AXES
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class ReductionBlock(_ParallelConcat):
         ])
 
     def forward(self, x, ctx):
-        for ax, ext in zip(("depth", "height", "width"), x.shape[2:]):
+        for ax, ext in zip(AXES[2:], x.shape[2:]):
             if ext % 2:
                 raise ShapeError(
                     f"{self.name}: spatial extent {ext} on axis {ax!r} is odd; "

@@ -264,10 +264,7 @@ def cmd_segment(args):
             f"{args.volume}: header carries no ElementSpacing; cannot map to "
             "isotropic space"
         )
-    if args.patch % 2 ** model.cfg.levels:
-        raise ConfigError(
-            f"patch {args.patch} is not divisible by 2^levels = {2 ** model.cfg.levels}"
-        )
+    model.cfg.check_patch(args.patch)
     iso = clip_normalize(resample_trilinear(volume, (1.0, 1.0, 1.0)))
     prob = predict_volume(model, iso.data, args.patch)
     mask_iso = (prob >= args.threshold).astype(np.float32)

@@ -1,14 +1,15 @@
 """Whole-network assembly: one U-net encoder-decoder skeleton, the
 Uception and a plain 3D U-net baseline sized to matching capacity built
-on it, plus the binary checkpoint format shared by both.
+on it, the table of model kinds, the flat "key = value" record codec that
+the training config shares, and the binary checkpoint format.
 
 Checkpoint layout (version 1, all integers little-endian):
 
     bytes 0..3   magic "UCPT"
     u32          format version (1)
     u32          length of the config record, then that many bytes of
-                 UTF-8 "key = value" lines (kind, depth, levels, dropout,
-                 in_channels, out_channels; U-net adds width and
+                 UTF-8 "key = value" lines: kind, then the CFG_KEYS fields,
+                 then the kind's record_fields (the U-net's width and
                  bottleneck_width)
     u32          number of parameters
     per parameter, in order:
@@ -27,15 +28,20 @@ import numpy as np
 
 from . import layers
 from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .layers import (Chain, Context, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest,
                      conv_unit)
 from .ops import SAME, ConvSpec
-from .tensor import as_tensor5
+from .tensor import AXES, as_tensor5
 
 CHECKPOINT_MAGIC = b"UCPT"
 CHECKPOINT_VERSION = 1
 MAX_RANK = 5  # conv weights: (out, in, kd, kh, kw)
+
+
+# UCPT record key -> UceptionCfg field, in record order; TrainConfig uses the same keys
+CFG_KEYS = {"depth": "base_depth", "levels": "levels", "dropout": "dropout_rate",
+            "in_channels": "input_channels", "out_channels": "output_channels"}
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,17 @@ class UceptionCfg:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ShapeError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
+    @classmethod
+    def from_record(cls, values):
+        """Settings from a mapping keyed like CFG_KEYS; absent keys keep defaults."""
+        return cls(**{f: values[k] for k, f in CFG_KEYS.items() if k in values})
+
+    def check_patch(self, patch):
+        """A patch edge must be positive and halve evenly at every level."""
+        if patch < 1 or patch % 2 ** self.levels:
+            raise ConfigError(f"patch extent {patch} is not a positive multiple of "
+                              f"2^levels = {2 ** self.levels}")
+
 
 class _ModelBase:
     """The U-net skeleton both models share, plus naming, init, parameter
@@ -68,7 +85,7 @@ class _ModelBase:
     calling every stage through its attribute at call time.
     """
 
-    kind = "base"
+    record_fields = {}  # constructor arguments the UCPT record stores, with types
 
     def __init__(self, cfg, dtype):
         self.cfg = cfg
@@ -126,7 +143,7 @@ class _ModelBase:
                 axis="channel",
             )
         div = 2 ** self.cfg.levels
-        for ax, ext in zip(("depth", "height", "width"), x.shape[2:]):
+        for ax, ext in zip(AXES[2:], x.shape[2:]):
             if ext % div:
                 raise ShapeError(
                     f"input extent {ext} on axis {ax!r} is not divisible by 2^levels={div}",
@@ -213,12 +230,17 @@ class Uception(_ModelBase):
 
 class UNet3d(_ModelBase):
     """Plain 3D U-net: two 3-cube convolutions per level, 2-cube max-pool
-    down, nearest upsample plus skip concat up, 1-cube sigmoid head."""
+    down, nearest upsample plus skip concat up, 1-cube sigmoid head.
+    Without widths it is sized to the Uception's parameter count for cfg."""
 
     kind = "unet3d"
+    record_fields = {"width": int, "bottleneck_width": int}
 
-    def __init__(self, cfg: UceptionCfg, width, bottleneck_width, dtype=np.float32):
+    def __init__(self, cfg: UceptionCfg, width=None, bottleneck_width=None,
+                 dtype=np.float32):
         super().__init__(cfg, dtype)
+        if width is None:
+            width, bottleneck_width = match_unet_widths(cfg, Uception(cfg).parameter_count())
         self.width = int(width)
         self.bottleneck_width = int(bottleneck_width)
         r = cfg.dropout_rate
@@ -242,6 +264,10 @@ class UNet3d(_ModelBase):
             self.dec_deep.append(pair(f"dec{lv}", ch + self.skip_channels[lv], w))
             ch = w
         self._add_head(ch)
+
+
+# every model kind, by the name a config or a UCPT record gives it
+KINDS = {cls.kind: cls for cls in (Uception, UNet3d)}
 
 
 def build_uception(cfg: UceptionCfg, seed=0, dtype=np.float32):
@@ -302,9 +328,7 @@ def match_unet_widths(cfg: UceptionCfg, target_params):
 def build_unet3d_baseline(cfg: UceptionCfg, seed=0, dtype=np.float32):
     """3D U-net with widths auto-scaled to Uception's parameter count
     (within ten percent) for the same cfg."""
-    target = Uception(cfg, dtype=np.float32).parameter_count()
-    w, wb = match_unet_widths(cfg, target)
-    return UNet3d(cfg, w, wb, dtype=dtype).init_params(seed)
+    return UNet3d(cfg, dtype=dtype).init_params(seed)
 
 
 def forward(model, x, mode="infer", seed=None):
@@ -315,45 +339,54 @@ def forward(model, x, mode="infer", seed=None):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization
+# the flat "key = value" record and checkpoint serialization
 
 
-def _cfg_record(model):
-    lines = [
-        f"kind = {model.kind}",
-        f"depth = {model.cfg.base_depth}",
-        f"levels = {model.cfg.levels}",
-        f"dropout = {model.cfg.dropout_rate!r}",
-        f"in_channels = {model.cfg.input_channels}",
-        f"out_channels = {model.cfg.output_channels}",
-    ]
-    if model.kind == "unet3d":
-        lines.append(f"width = {model.width}")
-        lines.append(f"bottleneck_width = {model.bottleneck_width}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def read_record(text, types):
+    """'key = value' lines -> {key: value cast by types[key]}; '#' starts a comment,
+    a repeated key keeps its last value and an unknown key lists the valid ones."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}; valid keys: "
+                              + ", ".join(sorted(types)))
+        try:
+            values[key] = types[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
+                              f"{types[key].__name__}") from exc
+    return values
 
 
-def _parse_cfg_record(blob):
-    fields = {}
+def format_record(pairs):
+    """The inverse of read_record: one 'key = value' line per (key, value) pair."""
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
+
+
+# every key a UCPT config record may hold, with the type its value is cast to
+_RECORD_TYPES = {"kind": str,
+                 **{k: type(getattr(UceptionCfg(), f)) for k, f in CFG_KEYS.items()},
+                 **{k: t for cls in KINDS.values() for k, t in cls.record_fields.items()}}
+
+
+def _model_from_record(blob, dtype):
+    """The unloaded model a config record describes; every fault is CheckpointError."""
     try:
-        for line in blob.decode("utf-8").splitlines():
-            if not line.strip():
-                continue
-            if "=" not in line:
-                raise CheckpointError(f"malformed config line {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        kind = fields["kind"]
-        cfg = UceptionCfg(
-            base_depth=int(fields["depth"]),
-            levels=int(fields["levels"]),
-            dropout_rate=float(fields["dropout"]),
-            input_channels=int(fields["in_channels"]),
-            output_channels=int(fields["out_channels"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"bad checkpoint config record: {exc}") from exc
-    return kind, cfg, fields
+        got = read_record(blob.decode("utf-8"), _RECORD_TYPES)
+        cls = KINDS.get(got.get("kind"))
+        if cls is None:
+            raise CheckpointError(f"unknown model kind {got.get('kind')!r}")
+        return cls(UceptionCfg(**{f: got[k] for k, f in CFG_KEYS.items()}), dtype=dtype,
+                   **{k: got[k] for k in cls.record_fields})
+    except (UnicodeDecodeError, KeyError, ConfigError, ShapeError) as exc:
+        raise CheckpointError(f"bad checkpoint config record "
+                              f"({type(exc).__name__}: {exc})") from exc
 
 
 def save_checkpoint(model, path=None):
@@ -361,7 +394,10 @@ def save_checkpoint(model, path=None):
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    record = _cfg_record(model)
+    record = format_record([("kind", model.kind),
+                            *((k, getattr(model.cfg, f)) for k, f in CFG_KEYS.items()),
+                            *((k, getattr(model, k)) for k in model.record_fields)]
+                           ).encode("utf-8")
     buf.write(struct.pack("<I", len(record)))
     buf.write(record)
     params = model.parameters()
@@ -404,17 +440,7 @@ def load_checkpoint(source, dtype=np.float32):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    kind, cfg, fields = _parse_cfg_record(bytes(take(cfg_len)))
-    if kind == "uception":
-        model = Uception(cfg, dtype=dtype)
-    elif kind == "unet3d":
-        try:
-            model = UNet3d(cfg, int(fields["width"]), int(fields["bottleneck_width"]),
-                           dtype=dtype)
-        except KeyError as exc:
-            raise CheckpointError("unet3d checkpoint missing width fields") from exc
-    else:
-        raise CheckpointError(f"unknown model kind {kind!r}")
+    model = _model_from_record(bytes(take(cfg_len)), dtype)
     (n_params,) = struct.unpack("<I", take(4))
     values = {}
     for _ in range(n_params):
@@ -427,6 +453,8 @@ def load_checkpoint(source, dtype=np.float32):
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         count = math.prod(shape)
         data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"parameter {name!r} holds non-finite values")
         values[name] = data
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after last parameter")

@@ -16,15 +16,7 @@ AXES = ("batch", "channel", "depth", "height", "width")
 FLOAT32 = np.dtype(np.float32)
 FLOAT64 = np.dtype(np.float64)
 
-_MODES = {"f32": FLOAT32, "f64": FLOAT64}
-
-
-def dtype_for_mode(mode):
-    """Map a numeric-mode name ('f32' or 'f64') to a numpy dtype."""
-    try:
-        return _MODES[mode]
-    except KeyError:
-        raise ShapeError(f"unknown numeric mode {mode!r}; expected 'f32' or 'f64'") from None
+MODES = {"f32": FLOAT32, "f64": FLOAT64}  # numeric-mode name -> dtype
 
 
 def as_tensor5(x, dtype=None):

@@ -17,11 +17,11 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import Context, INFER, TRAIN
 from .metrics import evaluate_masks, soft_dice, soft_dice_backward
-from .models import UceptionCfg, build_uception, build_unet3d_baseline
-from .optim import AdamState, adam_step
+from .models import KINDS, Uception, UceptionCfg, format_record, read_record
+from .optim import AdamState, CyclicSchedule, adam_step
 from .preprocess import clip_normalize, crop_to, reassemble, resample_trilinear, tile_patches
-from .tensor import check_finite, dtype_for_mode
-from .volume import load_metaimage
+from .tensor import MODES, check_finite
+from .volume import load_metaimage, volume_to_mask
 
 
 @dataclass
@@ -39,62 +39,41 @@ class TrainConfig:
     smooth: float = 1.0
     min_fg_frac: float = 0.0
     snapshots: int = 5
-    model: str = "uception"
+    model: str = Uception.kind
     patches_per_epoch: int = 0  # 0 = two per training volume
     mode: str = "f32"
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+_CONFIG_TYPES = {f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)}
 
 
 def parse_config(text) -> TrainConfig:
-    """Parse 'key = value' lines; unknown keys list the valid ones."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(
-                f"unknown config key {key!r}; valid keys: "
-                + ", ".join(sorted(_CONFIG_FIELDS))
-            )
-        values[key] = value
-    cfg = TrainConfig()
-    for key, value in values.items():
-        kind = type(getattr(cfg, key))  # int, float or str
-        try:
-            values[key] = kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
-                              f"{kind.__name__}") from exc
-    cfg = replace(cfg, **values)
-    if cfg.model not in ("uception", "unet3d"):
-        raise ConfigError(f"model must be 'uception' or 'unet3d', got {cfg.model!r}")
-    if cfg.mode not in ("f32", "f64"):
-        raise ConfigError(f"mode must be 'f32' or 'f64', got {cfg.mode!r}")
-    if cfg.patch % 2 ** cfg.levels:
-        raise ConfigError(
-            f"patch extent {cfg.patch} is not divisible by 2^levels = {2 ** cfg.levels}"
-        )
+    """Parse 'key = value' lines; unknown keys list the valid ones, and a
+    setting out of range raises ConfigError."""
+    cfg = replace(TrainConfig(), **read_record(text, _CONFIG_TYPES))
+    if cfg.model not in KINDS:
+        raise ConfigError(f"model must be one of {sorted(KINDS)}, got {cfg.model!r}")
+    if cfg.mode not in MODES:
+        raise ConfigError(f"mode must be one of {sorted(MODES)}, got {cfg.mode!r}")
+    for key, least in (("batch", 1), ("epochs", 1), ("seed", 0), ("smooth", 0)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
+    try:  # the model, schedule and snapshot settings carry their own range checks
+        UceptionCfg.from_record(vars(cfg)).check_patch(cfg.patch)
+        CyclicSchedule(cfg.lr_max, cfg.lr_min, cfg.cycle_epochs)
+        SnapshotSet(cfg.snapshots)
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
 def format_config(cfg: TrainConfig):
-    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(TrainConfig))
+    return format_record((f.name, getattr(cfg, f.name)) for f in fields(TrainConfig))
 
 
 def build_model_from_config(cfg: TrainConfig):
-    mc = UceptionCfg(base_depth=cfg.depth, levels=cfg.levels, dropout_rate=cfg.dropout)
-    dtype = dtype_for_mode(cfg.mode)
-    if cfg.model == "uception":
-        return build_uception(mc, seed=cfg.seed, dtype=dtype)
-    return build_unet3d_baseline(mc, seed=cfg.seed, dtype=dtype)
+    mc = UceptionCfg.from_record(vars(cfg))
+    return KINDS[cfg.model](mc, dtype=MODES[cfg.mode]).init_params(cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +87,7 @@ def preprocess_pair(image_vol, truth_vol, target_spacing=(1.0, 1.0, 1.0)):
     img = resample_trilinear(image_vol, target_spacing)
     img = clip_normalize(img)
     seg = resample_trilinear(truth_vol, target_spacing)
-    return img.data, seg.data > 0.5, img.spacing
+    return img.data, volume_to_mask(seg), img.spacing
 
 
 def load_dataset(data_dir):

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, manifests, resume."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -139,6 +140,14 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    def test_zero_batch_exits_config_code(self, tmp_path, tiny_data):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG.format(epochs=2, mode="f32").replace("batch = 2",
+                                                                        "batch = 0"))
+        code = main(["train", "--config", str(cfg), "--data", tiny_data,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+
     def test_resume_equals_uninterrupted_in_f64(self, tmp_path, tiny_data, full_f64_run):
         split = tmp_path / "split"
         assert main(["train", "--config", write_config(tmp_path, epochs=2, mode="f64"),
@@ -238,6 +247,21 @@ class TestSegmentCommand:
         assert code == EXIT_OK
         mask, _ = load_metaimage(str(out))
         assert not mask.data.any()
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob.replace(b"levels = 1", b"levels = 0", 1),
+        lambda blob: blob[:-4] + struct.pack("<f", np.inf),  # last value of head.conv.b
+    ], ids=["levels-0", "inf-weight"])
+    def test_damaged_checkpoint_is_io_error(self, tmp_path, damage):
+        ckpt = self.make_checkpoint(tmp_path)
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(damage(blob))
+        vol_path, _, _ = self.make_volume(tmp_path)
+        code = main(["segment", "--checkpoint", ckpt, "--volume", vol_path,
+                     "--out-mask", str(tmp_path / "m.mha"), "--patch", "8"])
+        assert code == EXIT_IO
 
     def test_missing_spacing_is_error(self, tmp_path):
         ckpt = self.make_checkpoint(tmp_path)

@@ -198,6 +198,14 @@ class TestMatchUnetWidths:
             assert match_unet_widths(cfg, target) == exhaustive_unet_widths(cfg, target)
 
 
+def with_record(blob, old, new):
+    """blob with old replaced by new in its UCPT config record."""
+    (n,) = struct.unpack("<I", blob[8:12])
+    record = blob[12:12 + n].replace(old, new)
+    assert record != blob[12:12 + n]
+    return blob[:8] + struct.pack("<I", len(record)) + record + blob[12 + n:]
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_parameters(self, tmp_path):
         cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.2)
@@ -263,6 +271,55 @@ class TestCheckpoint:
         bad = blob[:pos] + struct.pack("<I", 210) + blob[pos + 4:]
         with pytest.raises(CheckpointError, match="rank 210"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("old,new", [
+        (b"levels = 1", b"levels = 0"),  # UceptionCfg's own range checks
+        (b"dropout = 0.25", b"dropout = 2.25"),
+        (b"kind = uception", b"kind = resnet"),
+        (b"depth = 1", b"depth = one"),
+        (b"levels = 1\n", b"levels 1\n"),
+        (b"out_channels = 1\n", b""),
+    ], ids=["levels-0", "dropout-2.25", "unknown-kind", "uncastable", "no-equals",
+            "missing-key"])
+    def test_bad_config_record_rejected(self, old, new):
+        blob = save_checkpoint(build_uception(UceptionCfg(base_depth=1, levels=1),
+                                              seed=0))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(with_record(blob, old, new))
+
+    def test_unet_record_without_width_rejected(self):
+        blob = save_checkpoint(build_unet3d_baseline(UceptionCfg(base_depth=1, levels=1)))
+        (n,) = struct.unpack("<I", blob[8:12])
+        width_line = next(line for line in blob[12:12 + n].splitlines(keepends=True)
+                          if line.startswith(b"width ="))
+        with pytest.raises(CheckpointError, match="width"):
+            load_checkpoint(with_record(blob, width_line, b""))
+
+    def test_non_finite_weight_rejected_by_name(self):
+        blob = save_checkpoint(build_uception(UceptionCfg(base_depth=1, levels=1),
+                                              seed=0))
+        bad = blob[:-4] + struct.pack("<f", np.inf)  # the last parameter's last value
+        with pytest.raises(CheckpointError, match="head.conv.b"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("build", [build_uception, build_unet3d_baseline])
+    def test_one_byte_mutations_load_finite_or_raise(self, build):
+        blob = save_checkpoint(build(UceptionCfg(base_depth=2, levels=1), seed=0))
+        g = np.random.default_rng(3)
+        crashes = []
+        for case in range(1500):
+            buf = bytearray(blob)
+            buf[int(g.integers(len(buf)))] = int(g.integers(256))
+            try:
+                model = load_checkpoint(bytes(buf))
+            except CheckpointError:
+                continue
+            except Exception as exc:  # pragma: no cover - failure reporting
+                crashes.append((case, type(exc).__name__, str(exc)[:80]))
+                continue
+            if not all(np.isfinite(a).all() for a in model.parameters().values()):
+                crashes.append((case, "non-finite weights loaded", ""))
+        assert not crashes, f"unstructured failures: {crashes[:5]}"
 
     def test_save_load_forward_agreement(self, tmp_path):
         cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.0)

@@ -217,6 +217,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("model = resnet\n")
 
+    @pytest.mark.parametrize("text", [
+        "batch = 0", "patch = 0", "levels = 0", "depth = 0", "dropout = 1.5",
+        "snapshots = 0", "cycle_epochs = 0", "lr_min = 0.01",  # above the default lr_max
+        "smooth = -0.5", "mode = f16", "seed = -1", "epochs = 0",
+    ])
+    def test_out_of_range_settings_are_config_errors(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
 
 class TestTrainState:
     def state_file(self, tmp_path):
