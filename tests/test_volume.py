@@ -1,5 +1,8 @@
-"""MetaImage round trips, plus the mutation fuzz: corrupt input
-must always surface as a structured parser error, never a crash."""
+"""MetaImage round trips, golden writer bytes, plus the mutation fuzz:
+corrupt input must always surface as a structured parser error, never a
+crash."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,33 @@ class TestRoundTrip:
         assert np.array_equal(back.data, vol.data)
 
 
+def golden_volume():
+    """Negative, fractional and out-of-integer-range values, non-unit spacing."""
+    data = (np.arange(24, dtype=np.float32).reshape(2, 3, 4) - 11.5) * 3001.25
+    return Volume(data, (0.7, 1.1, 2.5))
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("element_type, digest", [
+        ("MET_FLOAT", "1fcba498ef54760c88bab3ff8b7fea2915a5f7d5b687eabe623c79b3571d2435"),
+        ("MET_UCHAR", "c03e7ccf9bc8b166e1c003dd4f40238278e8caab6ca3401f3b5e38597c3542c4"),
+        ("MET_SHORT", "3fdfb431871f26b12b6900a9bbd0d30fb74c2468fb842ea77d3198b75e1694c2"),
+        ("MET_USHORT", "1763a5e924bc9586f71fe2d0f1361613590e2eddc5013d5819e1360afc2138d6"),
+    ])
+    def test_write_metaimage(self, element_type, digest):
+        blob = write_metaimage(golden_volume(), element_type)
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_mhd_raw_pair(self, tmp_path):
+        save_metaimage(golden_volume(), str(tmp_path / "vol.mhd"))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("vol.mhd", "vol.raw")}
+        assert digests == {
+            "vol.mhd": "a98aaa0128b5294ca46124a2c75e05f3d3d968d005d6f7ec10cb0b008a2f5966",
+            "vol.raw": "7c76122e519b501c735fb8afa7c9469690e54603d8cf036225d864505d3cd52c",
+        }
+
+
 class TestStructuredErrors:
     def test_truncated_payload_one_byte_short(self):
         blob = write_metaimage(random_volume(6))
@@ -120,6 +150,18 @@ class TestStructuredErrors:
         blob = blob.replace(b"ElementDataFile = LOCAL", b"ElementDataFile = x.raw")
         with pytest.raises(MetaImageError):
             read_metaimage(blob)
+
+    @pytest.mark.parametrize("data_file, reason", [
+        ("/data/vol.raw", "refusing"), ("../vol.raw", "refusing"),
+        ("sub/../vol.raw", "refusing"), ("missing.raw", "not found"),
+    ])
+    def test_load_refuses_external_payload(self, tmp_path, data_file, reason):
+        save_metaimage(random_volume(13), str(tmp_path / "vol.mhd"))
+        path = tmp_path / "vol.mhd"
+        path.write_bytes(path.read_bytes().replace(
+            b"ElementDataFile = vol.raw", f"ElementDataFile = {data_file}".encode()))
+        with pytest.raises(MetaImageError, match=reason):
+            load_metaimage(str(path))
 
     def test_header_never_terminated(self):
         with pytest.raises(MetaImageError):
