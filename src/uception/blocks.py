@@ -140,7 +140,7 @@ def reduction_block(cfg: ReductionBlockCfg, x, ctx=None, rng=None, dtype=None):
 
 
 def _apply_once(block, x, ctx, rng):
-    layers.init_params(block, np.random.default_rng(0) if rng is None else rng)
+    layers.init_params(block, np.random.default_rng(0 if rng is None else rng))
     y, _ = block.forward(np.asarray(x), ctx or Context())
     return y
 

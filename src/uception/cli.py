@@ -106,8 +106,6 @@ def read_manifest(out_dir):
 
 def cmd_phantom(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if args.n_train < 1 or args.n_val < 0 or args.n_test < 0:
-        raise DataError("phantom: need n-train >= 1 and non-negative n-val/n-test")
     spec = PhantomSpec(
         extents=(args.extents,) * 3,
         tubes=args.tubes,

@@ -25,8 +25,7 @@ class Context:
         if mode not in (TRAIN, INFER):
             raise ShapeError(f"mode must be 'train' or 'infer', got {mode!r}")
         self.mode = mode
-        self.rng = rng if isinstance(rng, np.random.Generator) or rng is None \
-            else np.random.default_rng(rng)
+        self.rng = None if rng is None else np.random.default_rng(rng)
 
 
 def accumulate_grad(grads, name, g):

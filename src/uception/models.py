@@ -56,9 +56,10 @@ class UceptionCfg:
         if self.levels < 1:
             raise ShapeError(f"levels must be >= 1, got {self.levels}")
         if self.base_depth < 1:
-            raise ShapeError(f"base_depth must be >= 1, got {self.base_depth}")
+            raise ShapeError(f"depth (base_depth) must be >= 1, got {self.base_depth}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ShapeError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ShapeError(f"dropout (dropout_rate) must be in [0, 1), "
+                             f"got {self.dropout_rate}")
 
     @classmethod
     def from_record(cls, values):
@@ -333,7 +334,7 @@ def build_unet3d_baseline(cfg: UceptionCfg, seed=0, dtype=np.float32):
 
 def forward(model, x, mode="infer", seed=None):
     """Run a model on a batch; train mode is deterministic given seed."""
-    ctx = Context(mode=mode, rng=None if seed is None else np.random.default_rng(seed))
+    ctx = Context(mode=mode, rng=seed)
     y, _ = model.forward(as_tensor5(x, dtype=model.dtype), ctx)
     return y
 
@@ -344,7 +345,8 @@ def forward(model, x, mode="infer", seed=None):
 
 def read_record(text, types):
     """'key = value' lines -> {key: value cast by types[key]}; '#' starts a comment,
-    a repeated key keeps its last value and an unknown key lists the valid ones."""
+    a repeated key keeps its last value, an unknown key lists the valid ones and
+    a float must be finite."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -361,6 +363,8 @@ def read_record(text, types):
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
                               f"{types[key].__name__}") from exc
+        if types[key] is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     return values
 
 

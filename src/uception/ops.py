@@ -473,12 +473,6 @@ def sigmoid_backward(grad_out, y):
     return grad_out * y * (1.0 - y)
 
 
-def _as_generator(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def dropout(x, rate, rng):
     """Inverted dropout: zero each voxel with probability rate, scale survivors.
 
@@ -489,8 +483,7 @@ def dropout(x, rate, rng):
     x = np.asarray(x)
     if rate == 0.0:
         return x.copy(), np.ones_like(x)
-    gen = _as_generator(rng)
-    mask = (gen.random(x.shape) >= rate).astype(x.dtype)
+    mask = (np.random.default_rng(rng).random(x.shape) >= rate).astype(x.dtype)
     return x * mask * (1.0 / (1.0 - rate)), mask
 
 

@@ -69,7 +69,7 @@ class CyclicSchedule:
 
     def __post_init__(self):
         if self.lr_max < self.lr_min:
-            raise ShapeError("lr_max must be >= lr_min")
+            raise ShapeError(f"lr_min must be <= lr_max, got {self.lr_min} > {self.lr_max}")
         if self.cycle_epochs < 1:
             raise ShapeError("cycle_epochs must be >= 1")
 

@@ -143,7 +143,7 @@ def train_epoch(model, dataset, adam: AdamState, *, batch=2, patch=64, seed=0,
     """
     if not dataset:
         raise DataError("train_epoch: empty dataset")
-    rng = np.random.default_rng(seed if not np.iterable(seed) else list(seed))
+    rng = np.random.default_rng(seed)
     total = patches_per_epoch if patches_per_epoch > 0 else 2 * len(dataset)
     params = model.parameters()
     losses = []
@@ -205,7 +205,7 @@ class SnapshotSet:
 
     def __init__(self, capacity=5):
         if capacity < 1:
-            raise ShapeError("snapshot capacity must be >= 1")
+            raise ShapeError(f"snapshots (capacity) must be >= 1, got {capacity}")
         self.capacity = capacity
         self.entries = []  # (val_loss, epoch, params dict)
         self.history = []

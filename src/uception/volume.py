@@ -11,8 +11,9 @@ MetaImageError: corrupt headers and short payloads are data, not bugs.
 """
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,60 +62,22 @@ class MetaImageHeader:
     ElementByteOrderMSB: bool = False
     ElementDataFile: str = "LOCAL"
     spacing_present: bool = False  # whether ElementSpacing was in the file
-    extra: dict = field(default_factory=dict)
 
 
-def _split_header(blob):
-    """Return (key-value pairs in order, payload bytes after ElementDataFile)."""
-    pairs = []
-    pos = 0
-    while True:
-        nl = blob.find(b"\n", pos)
-        if nl < 0:
-            raise MetaImageMissingKey("ElementDataFile",
-                                      "header ended before ElementDataFile")
-        line = blob[pos:nl]
-        pos = nl + 1
-        try:
-            text = line.decode("ascii").strip().rstrip("\r")
-        except UnicodeDecodeError as exc:
-            raise MetaImageError(f"non-ASCII bytes in header line: {line[:40]!r}") from exc
-        if not text:
-            continue
-        if "=" not in text:
-            raise MetaImageError(f"malformed header line (no '='): {text[:60]!r}")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise MetaImageError(f"malformed header line (empty key): {text[:60]!r}")
-        pairs.append((key, value))
-        if key == "ElementDataFile":
-            return pairs, blob[pos:]
-
-
-def _parse_ints(value, key, count):
+def _parse_numbers(value, key, count, cast):
+    """``count`` whitespace-separated entries of ``value``, each cast and
+    required to be positive and finite."""
     parts = value.split()
     if len(parts) != count:
-        raise MetaImageMissingKey(key, f"{key} needs {count} integers, got {value!r}")
+        raise MetaImageMissingKey(key, f"{key} needs {count} {cast.__name__} entries, "
+                                       f"got {value!r}")
     try:
-        out = tuple(int(p) for p in parts)
+        out = tuple(cast(p) for p in parts)
     except ValueError as exc:
-        raise MetaImageMissingKey(key, f"{key} has non-integer entry in {value!r}") from exc
-    if any(v < 1 for v in out):
-        raise MetaImageMissingKey(key, f"{key} entries must be >= 1, got {out}")
-    return out
-
-
-def _parse_floats(value, key, count):
-    parts = value.split()
-    if len(parts) != count:
-        raise MetaImageMissingKey(key, f"{key} needs {count} reals, got {value!r}")
-    try:
-        out = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise MetaImageMissingKey(key, f"{key} has non-numeric entry in {value!r}") from exc
-    if any(not np.isfinite(v) or v <= 0 for v in out):
+        raise MetaImageMissingKey(key, f"{key} has a non-{cast.__name__} entry in "
+                                       f"{value!r}") from exc
+    # comparisons, not np.isfinite: a 400-digit integer entry must not overflow
+    if not all(0 < v < math.inf for v in out):
         raise MetaImageMissingKey(key, f"{key} entries must be finite positive, got {out}")
     return out
 
@@ -128,58 +91,60 @@ def _parse_bool(value, key):
     raise MetaImageMissingKey(key, f"{key} must be True or False, got {value!r}")
 
 
-def read_metaimage(blob, raw_payload=None):
-    """Parse MetaImage bytes into (Volume, MetaImageHeader).
+def _split_header(blob):
+    """Split MetaImage bytes into (header fields, the bytes after the
+    ElementDataFile line), which are the payload when ElementDataFile is
+    LOCAL. A repeated key keeps its last value."""
+    fields = {}
+    pos = 0
+    while "ElementDataFile" not in fields:
+        nl = blob.find(b"\n", pos)
+        if nl < 0:
+            raise MetaImageMissingKey("ElementDataFile",
+                                      "header ended before ElementDataFile")
+        line = blob[pos:nl]
+        pos = nl + 1
+        try:
+            text = line.decode("ascii").strip().rstrip("\r")
+        except UnicodeDecodeError as exc:
+            raise MetaImageError(f"non-ASCII bytes in header line: {line[:40]!r}") from exc
+        if not text:
+            continue
+        key, eq, value = (part.strip() for part in text.partition("="))
+        if not eq:
+            raise MetaImageError(f"malformed header line (no '='): {text[:60]!r}")
+        if not key:
+            raise MetaImageError(f"malformed header line (empty key): {text[:60]!r}")
+        fields[key] = value
+    return fields, blob[pos:]
 
-    ``raw_payload`` supplies the pixel bytes when ElementDataFile names an
-    external file (the .mhd + .raw layout); LOCAL payloads follow the
-    header in ``blob``.
-    """
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise MetaImageError(f"expected bytes, got {type(blob).__name__}")
-    pairs, local_payload = _split_header(bytes(blob))
-    header = MetaImageHeader()
-    seen = dict(pairs)
-    if "NDims" not in seen:
-        raise MetaImageMissingKey("NDims")
-    try:
-        ndims = int(seen["NDims"])
-    except ValueError as exc:
-        raise MetaImageMissingKey("NDims", f"NDims is not an integer: {seen['NDims']!r}") from exc
+
+def _parse_header(fields):
+    """The checked MetaImageHeader that split header fields describe."""
+    for key in ("NDims", "DimSize", "ElementType"):
+        if key not in fields:
+            raise MetaImageMissingKey(key)
+    (ndims,) = _parse_numbers(fields["NDims"], "NDims", 1, int)
     if ndims != 3:
         raise MetaImageMissingKey("NDims", f"only NDims = 3 is supported, got {ndims}")
-    header.NDims = 3
-    if "DimSize" not in seen:
-        raise MetaImageMissingKey("DimSize")
-    header.DimSize = _parse_ints(seen["DimSize"], "DimSize", 3)
-    if "ElementType" not in seen:
-        raise MetaImageMissingKey("ElementType")
-    header.ElementType = seen["ElementType"]
+    header = MetaImageHeader(DimSize=_parse_numbers(fields["DimSize"], "DimSize", 3, int),
+                             ElementType=fields["ElementType"],
+                             ElementDataFile=fields["ElementDataFile"])
     if header.ElementType not in ELEMENT_DTYPES:
         raise MetaImageUnsupportedType(header.ElementType)
-    if "ElementSpacing" in seen:
-        header.ElementSpacing = _parse_floats(seen["ElementSpacing"], "ElementSpacing", 3)
+    if "ElementSpacing" in fields:
+        header.ElementSpacing = _parse_numbers(fields["ElementSpacing"], "ElementSpacing",
+                                               3, float)
         header.spacing_present = True
-    if "ElementByteOrderMSB" in seen:
-        header.ElementByteOrderMSB = _parse_bool(seen["ElementByteOrderMSB"],
+    if "ElementByteOrderMSB" in fields:
+        header.ElementByteOrderMSB = _parse_bool(fields["ElementByteOrderMSB"],
                                                  "ElementByteOrderMSB")
-    if "ObjectType" in seen:
-        header.ObjectType = seen["ObjectType"]
-    header.ElementDataFile = seen["ElementDataFile"]
-    header.extra = {k: v for k, v in seen.items()
-                    if k not in ("ObjectType", "NDims", "DimSize", "ElementType",
-                                 "ElementSpacing", "ElementByteOrderMSB",
-                                 "ElementDataFile")}
+    header.ObjectType = fields.get("ObjectType", header.ObjectType)
+    return header
 
-    if header.ElementDataFile == "LOCAL":
-        payload = local_payload
-    else:
-        if raw_payload is None:
-            raise MetaImageError(
-                f"ElementDataFile = {header.ElementDataFile!r} but no external payload given"
-            )
-        payload = raw_payload
 
+def _decode(header, payload):
+    """The Volume a checked header and its payload bytes describe."""
     base = ELEMENT_DTYPES[header.ElementType]
     dtype = np.dtype((">" if header.ElementByteOrderMSB else "<") + base)
     nx, ny, nz = header.DimSize
@@ -188,12 +153,11 @@ def read_metaimage(blob, raw_payload=None):
         raise MetaImagePayloadMismatch(expected, len(payload))
     raw = np.frombuffer(payload, dtype=dtype).reshape(nz, ny, nx)
     sx, sy, sz = header.ElementSpacing
-    volume = Volume(raw.astype(np.float32), (sz, sy, sx))
-    return volume, header
+    return Volume(raw.astype(np.float32), (sz, sy, sx))
 
 
-def write_metaimage(volume, element_type="MET_FLOAT"):
-    """Serialize a Volume as a single-file (LOCAL payload) MetaImage."""
+def _encode(volume, element_type, data_file):
+    """(header bytes naming ``data_file``, little-endian payload bytes)."""
     if element_type not in ELEMENT_DTYPES:
         raise MetaImageUnsupportedType(element_type)
     d, h, w = volume.extents
@@ -205,7 +169,7 @@ def write_metaimage(volume, element_type="MET_FLOAT"):
         f"ElementType = {element_type}\n"
         f"ElementSpacing = {sw!r} {sh!r} {sd!r}\n"
         "ElementByteOrderMSB = False\n"
-        "ElementDataFile = LOCAL\n"
+        f"ElementDataFile = {data_file}\n"
     )
     dtype = np.dtype("<" + ELEMENT_DTYPES[element_type])
     if element_type == "MET_FLOAT":
@@ -214,23 +178,43 @@ def write_metaimage(volume, element_type="MET_FLOAT"):
         info = np.iinfo(dtype)
         clipped = np.clip(np.rint(volume.data), info.min, info.max)
         payload = clipped.astype(dtype).tobytes()
-    return header.encode("ascii") + payload
+    return header.encode("ascii"), payload
+
+
+def read_metaimage(blob, raw_payload=None):
+    """Parse MetaImage bytes into (Volume, MetaImageHeader).
+
+    ``raw_payload`` supplies the pixel bytes when ElementDataFile names an
+    external file (the .mhd + .raw layout); LOCAL payloads follow the
+    header in ``blob``.
+    """
+    if not isinstance(blob, (bytes, bytearray, memoryview)):
+        raise MetaImageError(f"expected bytes, got {type(blob).__name__}")
+    fields, payload = _split_header(bytes(blob))
+    header = _parse_header(fields)
+    if header.ElementDataFile != "LOCAL":
+        if raw_payload is None:
+            raise MetaImageError(
+                f"ElementDataFile = {header.ElementDataFile!r} but no external payload given"
+            )
+        payload = raw_payload
+    return _decode(header, payload), header
+
+
+def write_metaimage(volume, element_type="MET_FLOAT"):
+    """Serialize a Volume as a single-file (LOCAL payload) MetaImage."""
+    header, payload = _encode(volume, element_type, "LOCAL")
+    return header + payload
 
 
 def save_metaimage(volume, path, element_type="MET_FLOAT"):
     """Write .mha (LOCAL) or .mhd plus a sibling .raw, chosen by extension."""
     path = os.fspath(path)
     if path.endswith(".mhd"):
-        blob = write_metaimage(volume, element_type)
-        pairs, payload = _split_header(blob)
         raw_name = os.path.basename(path)[:-4] + ".raw"
-        lines = []
-        for key, value in pairs:
-            if key == "ElementDataFile":
-                value = raw_name
-            lines.append(f"{key} = {value}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header, payload = _encode(volume, element_type, raw_name)
+        with open(path, "wb") as fh:
+            fh.write(header)
         with open(os.path.join(os.path.dirname(path) or ".", raw_name), "wb") as fh:
             fh.write(payload)
     else:
@@ -243,19 +227,19 @@ def load_metaimage(path):
     """Read .mha or .mhd (+ sibling raw named by ElementDataFile)."""
     path = os.fspath(path)
     with open(path, "rb") as fh:
-        blob = fh.read()
-    pairs, _ = _split_header(blob)
-    data_file = dict(pairs).get("ElementDataFile", "LOCAL")
-    if data_file == "LOCAL":
-        return read_metaimage(blob)
-    if os.path.isabs(data_file) or ".." in data_file.replace("\\", "/").split("/"):
-        raise MetaImageError(f"refusing non-relative ElementDataFile {data_file!r}")
-    sibling = os.path.join(os.path.dirname(path) or ".", data_file)
-    if not os.path.exists(sibling):
-        raise MetaImageError(f"external payload file not found: {sibling}")
-    with open(sibling, "rb") as fh:
-        payload = fh.read()
-    return read_metaimage(blob, raw_payload=payload)
+        fields, payload = _split_header(fh.read())
+    data_file = fields["ElementDataFile"]
+    # a payload outside this directory is refused before any other header fault is named
+    if data_file != "LOCAL":
+        if os.path.isabs(data_file) or ".." in data_file.replace("\\", "/").split("/"):
+            raise MetaImageError(f"refusing non-relative ElementDataFile {data_file!r}")
+        sibling = os.path.join(os.path.dirname(path) or ".", data_file)
+        if not os.path.isfile(sibling):
+            raise MetaImageError(f"external payload file not found: {sibling}")
+        with open(sibling, "rb") as fh:
+            payload = fh.read()
+    header = _parse_header(fields)
+    return _decode(header, payload), header
 
 
 def volume_to_mask(volume):

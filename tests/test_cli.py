@@ -118,6 +118,11 @@ class TestPhantomCommand:
         code = main(["phantom", "--out", str(tmp_path / "x"), "--n-train", "0"])
         assert code == EXIT_IO
 
+    def test_negative_val_count_is_io_error(self, tmp_path):
+        code = main(["phantom", "--out", str(tmp_path / "x"), "--n-val", "-1"])
+        assert code == EXIT_IO
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrainCommand:
     def test_train_writes_artifacts_and_log(self, tmp_path, tiny_data):
@@ -147,6 +152,15 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--data", tiny_data,
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    def test_nan_lr_max_exits_config_code(self, tmp_path, tiny_data):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG.format(epochs=2, mode="f32").replace("lr_max = 0.002",
+                                                                        "lr_max = nan"))
+        code = main(["train", "--config", str(cfg), "--data", tiny_data,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     def test_resume_equals_uninterrupted_in_f64(self, tmp_path, tiny_data, full_f64_run):
         split = tmp_path / "split"

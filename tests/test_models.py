@@ -197,6 +197,16 @@ class TestMatchUnetWidths:
         for target in (Uception(cfg).parameter_count(), 1, near5, 3_000_000):
             assert match_unet_widths(cfg, target) == exhaustive_unet_widths(cfg, target)
 
+    @pytest.mark.parametrize("depth,levels,in_ch,out_ch", [
+        (2, 1, 1, 1), (4, 2, 1, 1), (3, 2, 2, 3), (5, 1, 1, 2)])
+    def test_geometry_counts_what_unet3d_builds(self, depth, levels, in_ch, out_ch):
+        """The matcher sizes the U-net from _unet_conv_geometry alone."""
+        cfg = UceptionCfg(base_depth=depth, levels=levels, input_channels=in_ch,
+                          output_channels=out_ch)
+        for w, wb in ((1, 1), (2, 7), (5, 3), (11, 56)):
+            assert (_conv_param_count(_unet_conv_geometry(cfg, w, wb))
+                    == UNet3d(cfg, w, wb).parameter_count()), (w, wb)
+
 
 def with_record(blob, old, new):
     """blob with old replaced by new in its UCPT config record."""

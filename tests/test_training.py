@@ -221,9 +221,13 @@ class TestConfig:
         "batch = 0", "patch = 0", "levels = 0", "depth = 0", "dropout = 1.5",
         "snapshots = 0", "cycle_epochs = 0", "lr_min = 0.01",  # above the default lr_max
         "smooth = -0.5", "mode = f16", "seed = -1", "epochs = 0",
+        "lr_max = nan", "lr_min = nan", "smooth = nan", "min_fg_frac = nan",
+        "lr_max = inf", "smooth = inf",
     ])
     def test_out_of_range_settings_are_config_errors(self, text):
-        with pytest.raises(ConfigError):
+        """The message starts with the config key, not a dataclass field name."""
+        key = text.partition(" =")[0]
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
             parse_config(text)
 
 

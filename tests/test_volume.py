@@ -133,6 +133,12 @@ class TestStructuredErrors:
             with pytest.raises(MetaImageMissingKey):
                 read_metaimage(b"\n".join(kept))
 
+    def test_400_digit_dimsize_is_payload_mismatch(self):
+        blob = write_metaimage(random_volume(14, (2, 3, 4)))
+        blob = blob.replace(b"DimSize = 4 3 2", b"DimSize = " + b"9" * 400 + b" 3 2")
+        with pytest.raises(MetaImagePayloadMismatch):
+            read_metaimage(blob)
+
     def test_unsupported_element_type(self):
         blob = write_metaimage(random_volume(9))
         blob = blob.replace(b"MET_FLOAT", b"MET_DOUBLE")
@@ -153,7 +159,7 @@ class TestStructuredErrors:
 
     @pytest.mark.parametrize("data_file, reason", [
         ("/data/vol.raw", "refusing"), ("../vol.raw", "refusing"),
-        ("sub/../vol.raw", "refusing"), ("missing.raw", "not found"),
+        ("sub/../vol.raw", "refusing"), ("missing.raw", "not found"), (".", "not found"),
     ])
     def test_load_refuses_external_payload(self, tmp_path, data_file, reason):
         save_metaimage(random_volume(13), str(tmp_path / "vol.mhd"))
