@@ -5,6 +5,8 @@ The end-to-end phantom training run (criterion 5) is the expensive part;
 its artifacts are built once in a module fixture and shared with the
 snapshot-averaging criterion.
 """
+import glob
+import hashlib
 import os
 import time
 
@@ -335,3 +337,52 @@ def test_criterion_10_snapshot_averaging(phantom_run):
            f"identical-snapshot average equals the member; averaged phantom model "
            f"val loss {summary['avg_val_loss']:.4f} <= worst stored snapshot "
            f"{summary['worst_snapshot_loss']:.4f}")
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: the full configs/phantom.cfg run and the gradient suite. The
+# f32 bytes depend on the BLAS kernels, so the digests hold for the numpy
+# and BLAS builds named below; a change that moves them on purpose says so.
+
+PINNED_ON = "numpy 2.4.6 with scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH)"
+RUN_DIGESTS = {
+    "model_last.ucpt": "95c630f8bf56fb4c9f3a080f33d1d61df84602d5edd8923ce5d7768e54c35fa7",
+    "model_avg.ucpt": "3527b230f66c619595ba8a362540b748bc884d8406986b7695cb719a24795695",
+    "snapshot_e0020.ucpt": "f9eaf4eb9bde4aae12c8049657194e13d8c548b94a49a51847cd94dd30044cc0",
+    "snapshot_e0025.ucpt": "b83853231b61dae076af5f18205b35bfd1847da5970806168e84fa20bad68d8e",
+    "snapshot_e0031.ucpt": "de180926f84130b3b36b7a7cd122dcf88b86736bd613a5f33fb7be3163730302",
+    "snapshot_e0033.ucpt": "ec3006ce49362fd44298f14eed6a66de71b22a3637d935fa3739d151e90b0d4a",
+    "snapshot_e0035.ucpt": "843c41ce06993cb5335647ed6979cb2462d0049d891921b55127c229b6416d35",
+    "train_log.tsv": "55ca16c9f7b59516a8beab12429a0927630e39e43d9078e6b50f97fe23d0ad9c",
+    "train_state.npz": "ffdec346ea460d7e6a090680f25f179e20351af81322463b1217afedae95c3df",
+}
+# SHA-256 of the concatenated repr(max_rel_error) of run_suite()
+SUITE_DIGEST = "6d86663cc5d4ec3787b34f96faf02c39162a70dde0d946ce89b48df4b1172f56"
+
+
+def _build_versions():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown BLAS"
+    return f"pinned on {PINNED_ON}; this run has numpy {np.__version__} with {blas}"
+
+
+def test_full_run_bytes_are_pinned(phantom_run):
+    out = phantom_run["out"]
+    names = ["model_last.ucpt", "model_avg.ucpt", "train_log.tsv", "train_state.npz"]
+    names += [os.path.basename(p) for p in glob.glob(os.path.join(out, "snapshot_e*.ucpt"))]
+    got = {}
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    moved = sorted(set(got) ^ set(RUN_DIGESTS) | {k for k in got if got[k] != RUN_DIGESTS.get(k)})
+    assert not moved, f"full-run files differ from the pinned digests: {moved} ({_build_versions()})"
+
+
+def test_gradient_suite_errors_are_pinned():
+    errors = "".join(repr(r.max_rel_error) for r in run_suite())
+    digest = hashlib.sha256(errors.encode()).hexdigest()
+    assert digest == SUITE_DIGEST, (
+        f"gradient suite max_rel_error reprs moved: {errors!r} ({_build_versions()})")
