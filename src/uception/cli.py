@@ -35,7 +35,7 @@ from .errors import (
     UceptionError,
 )
 from .gradcheck import format_results, run_suite
-from .metrics import summarize_reports, evaluate_masks
+from .metrics import evaluate_masks, soft_dice, summarize_reports
 from .models import load_checkpoint, save_checkpoint
 from .phantom import PhantomSpec, write_phantom_dataset
 from .preprocess import (
@@ -58,7 +58,6 @@ from .training import (
     snapshot_average,
     snapshot_fallback,
     train_epoch,
-    validate,
     predict_volume,
 )
 from .optim import AdamState, CyclicSchedule, cyclic_lr
@@ -159,7 +158,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
     if not splits["val"]:
         raise DataError("training needs at least one validation volume")
     train_set = [preprocess_pair(img, seg)[:2] for _, img, seg in splits["train"]]
-    val_set = [preprocess_pair(img, seg) for _, img, seg in splits["val"]]
+    val_set = [preprocess_pair(img, seg)[:2] for _, img, seg in splits["val"]]
 
     model = build_model_from_config(cfg)
     adam = AdamState(lr=cfg.lr_max)
@@ -190,8 +189,9 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
             fh.write(_LOG_HEADER)
 
     def validate_all(m):
-        return float(np.mean([validate(m, img, mask, patch=cfg.patch, spacing=sp)[0]
-                              for img, mask, sp in val_set]))
+        # the loss validate() reports, without its thresholded report
+        return float(np.mean([-soft_dice(predict_volume(m, img, cfg.patch), mask, 0.0)
+                              for img, mask in val_set]))
 
     for epoch in range(start_epoch, cfg.epochs):
         adam.lr = cyclic_lr(schedule, epoch)

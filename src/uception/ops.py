@@ -19,13 +19,19 @@ Max pooling runs as three 1-D passes (width, then height, then depth). The
 forward computes values only and returns its input as the route; the
 backward runs the passes again on that input, recording the winning tap of
 each, then routes the gradient. The input must therefore not be modified
-between the two; see ``maxpool3d``.
+between the two; see ``maxpool3d``. A stride-1 same-mode pass runs each tap
+as one shifted slice of the flattened array rather than one slice per row,
+whose rows along width hold only 15-16 values. The shift wraps the taps of
+the outputs at one end of the axis into the neighbouring row, plane, channel
+or batch item; those outputs form one slab, which the forward puts back and
+the backward zeroes before its shifted add.
 
 All functions are pure: they allocate their outputs and never mutate
 arguments. Dropout takes an explicit seed or Generator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,6 +310,20 @@ def _tap_slices(axis, t, n, s, p, m):
     return lead + (slice(lo, hi),), lead + (slice(lo * s - p + t, (hi - 1) * s - p + t + 1, s),)
 
 
+def _shift_slices(axis, off, shape):
+    """Tap offset off along axis of a C-contiguous array as one flat run:
+    (o, i, wrapped), o and i the flat slices that pair output j with voxel
+    j + off * (row length), and wrapped the index tuple of the output slab
+    whose voxel the shift took from the neighbouring row, plane, channel or
+    batch item: axis index n-off..n for off > 0, 0..-off for off < 0."""
+    n, size = shape[axis], math.prod(shape)
+    d = off * math.prod(shape[axis + 1:])
+    lead = (slice(None),) * axis
+    if off >= 0:
+        return (slice(0, size - d),), (slice(d, size),), lead + (slice(n - off, n),)
+    return (slice(-d, size),), (slice(0, size + d),), lead + (slice(0, -off),)
+
+
 def _max_pass(x, axis, k, s, p, m, record):
     """1-D max over k taps along axis of a NaN-free x; returns (max, tap),
     tap being the winning tap as int8 when record is set, else None.
@@ -311,23 +331,51 @@ def _max_pass(x, axis, k, s, p, m, record):
     The running max starts at -inf, and each tap's slice goes through
     np.maximum(slice, running, out=running), which keeps the running value
     on ties, ±0 included, so the first strict maximum wins.
+
+    A stride-1 pass that keeps its extent (same mode) runs each tap as one
+    flat shifted run over the whole array, not one slice per row. The
+    outputs whose voxel the run wrapped in from the neighbouring row, plane,
+    channel or batch item form one slab (_shift_slices); its running maxima
+    and taps are kept before the tap and put back after it. Such a pass
+    starts from a copy of tap 0, which is what the maximum against -inf
+    gives, with -inf in tap 0's wrapped slab.
     """
+    n = x.shape[axis]
     shape = x.shape[:axis] + (m,) + x.shape[axis + 1:]
-    out = np.full(shape, -np.inf, dtype=x.dtype)
+    flat = s == 1 and m == n
+    lead_copy = flat and n > p  # tap 0 lands inside the input
+    out = np.empty(shape, x.dtype) if lead_copy else np.full(shape, -np.inf, x.dtype)
     tap = np.zeros(shape, dtype=np.int8) if record else None
-    better = np.empty(shape, dtype=bool) if record else None
+    better = np.empty(shape, dtype=bool) if record and k > 2 else None
+    views = (x, out, tap, better)
+    if flat:  # reshape copies x only when x is not C-contiguous
+        views = tuple(None if a is None else a.reshape(-1) for a in views)
+    xv, outv, tapv, betterv = views
     for t in range(k):
-        sl = _tap_slices(axis, t, x.shape[axis], s, p, m)
+        sl = _tap_slices(axis, t, n, s, p, m)
         if sl is None:
             continue
         o, i = sl
-        xs, dst = x[i], out[o]
-        if record and t:
-            b = better[o]
+        kept = []
+        if flat:
+            o, i, wrapped = _shift_slices(axis, t - p, shape)
+            if t and t != p:  # tap 0 finds -inf and records nothing; tap p wraps nothing
+                kept = [(a, a[wrapped].copy()) for a in (out, tap) if a is not None]
+        xs, dst = xv[i], outv[o]
+        if t == 0 and lead_copy:
+            np.copyto(dst, xs)
+            out[wrapped] = -np.inf
+            continue
+        if record and t == 1:  # every tap is still 0, so the winners are tap 1
+            np.greater(xs, dst, out=tapv[o])
+        elif record and t:
+            b = betterv[o]
             np.greater(xs, dst, out=b)
             # a later winner has the larger tap, so the last one to win is the max
-            np.maximum(tap[o], b.view(np.int8) * np.int8(t), out=tap[o])
+            np.maximum(tapv[o], b.view(np.int8) * np.int8(t), out=tapv[o])
         np.maximum(xs, dst, out=dst)
+        for a, v in kept:
+            a[wrapped] = v
     return out, tap
 
 
@@ -344,15 +392,43 @@ def _max_passes(x, window, stride, pad, out_sp, record):
 
 
 def _max_pass_backward(g, tap, axis, k, s, p, n):
-    """Adjoint of _max_pass: add each gradient to the voxel of its winning tap."""
-    grad = np.zeros(g.shape[:axis] + (n,) + g.shape[axis + 1:], dtype=g.dtype)
+    """Adjoint of _max_pass: add each gradient to the voxel of its winning tap.
+
+    The gradient starts at +0 and takes each tap's share g * (tap == t) in
+    tap order. A pass that ran as flat shifted runs moves each share with
+    one flat shifted add, after setting the wrapped slab's share to -0.0,
+    which leaves every sum's bits as they are. Its first share is added to
+    +0 as share + 0.0 in place of a zero fill.
+    """
+    shape = g.shape[:axis] + (n,) + g.shape[axis + 1:]
+    flat = s == 1 and g.shape[axis] == n
+    if not flat:
+        grad = np.zeros(shape, dtype=g.dtype)
+        for t in range(k):
+            sl = _tap_slices(axis, t, n, s, p, g.shape[axis])
+            if sl is not None:
+                o, i = sl
+                # fixed tap -> injective output-to-voxel map, slice add is safe
+                grad[i] += g[o] * (tap[o] == t)
+        return grad
+    grad = np.empty(shape, dtype=g.dtype)
+    share = np.empty(shape, dtype=g.dtype)
+    winner = np.empty(shape, dtype=bool)
+    gradv, sharev = grad.reshape(-1), share.reshape(-1)
+    started = False
     for t in range(k):
-        sl = _tap_slices(axis, t, n, s, p, g.shape[axis])
-        if sl is None:
+        if _tap_slices(axis, t, n, s, p, n) is None:
             continue
-        o, i = sl
-        # fixed tap -> injective output-to-voxel map, slice add is safe
-        grad[i] += g[o] * (tap[o] == t)
+        (o,), (i,), wrapped = _shift_slices(axis, t - p, shape)
+        np.multiply(g, np.equal(tap, t, out=winner), out=share)
+        share[wrapped] = -0.0
+        if started:
+            gradv[i] += sharev[o]
+            continue
+        np.add(sharev[o], 0.0, out=gradv[i])
+        gradv[:i.start] = 0.0
+        gradv[i.stop:] = 0.0
+        started = True
     return grad
 
 
@@ -393,7 +469,7 @@ def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 
     out_sp, pad = _pool_geometry(in_shape[2:], window, stride, padding)
     _check_frame("maxpool3d_backward: route", np.shape(argmax), in_shape)
     _check_frame("maxpool3d_backward: grad_out", grad_out.shape, in_shape[:2] + out_sp)
-    _, taps = _max_passes(np.asarray(argmax), window, stride, pad, out_sp, record=True)
+    taps = _max_passes(np.asarray(argmax), window, stride, pad, out_sp, record=True)[1]
     g = grad_out
     for axis, tap in zip((2, 3, 4), reversed(taps)):
         a = axis - 2

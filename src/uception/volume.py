@@ -212,6 +212,9 @@ def save_metaimage(volume, path, element_type="MET_FLOAT"):
     path = os.fspath(path)
     if path.endswith(".mhd"):
         raw_name = os.path.basename(path)[:-4] + ".raw"
+        # the header line must give the same name back to load_metaimage
+        if not (raw_name.isascii() and raw_name.isprintable()) or raw_name != raw_name.strip():
+            raise MetaImageError(f"an ASCII MetaImage header cannot name {raw_name!r}")
         header, payload = _encode(volume, element_type, raw_name)
         with open(path, "wb") as fh:
             fh.write(header)

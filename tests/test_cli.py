@@ -277,6 +277,15 @@ class TestSegmentCommand:
                      "--out-mask", str(tmp_path / "m.mha"), "--patch", "8"])
         assert code == EXIT_IO
 
+    def test_unencodable_mask_name_is_io_error(self, tmp_path):
+        ckpt = self.make_checkpoint(tmp_path)
+        vol_path, _, _ = self.make_volume(tmp_path)
+        out = tmp_path / "\u00fc.mhd"
+        code = main(["segment", "--checkpoint", ckpt, "--volume", vol_path,
+                     "--out-mask", str(out), "--patch", "8"])
+        assert code == EXIT_IO
+        assert not out.exists()
+
     def test_missing_spacing_is_error(self, tmp_path):
         ckpt = self.make_checkpoint(tmp_path)
         vol_path, _, _ = self.make_volume(tmp_path)

@@ -169,6 +169,12 @@ class TestStructuredErrors:
         with pytest.raises(MetaImageError, match=reason):
             load_metaimage(str(path))
 
+    @pytest.mark.parametrize("name", ["\u00fc.mhd", "a\nb.mhd", " a.mhd"])
+    def test_save_refuses_a_name_the_header_cannot_carry(self, tmp_path, name):
+        with pytest.raises(MetaImageError, match="cannot name"):
+            save_metaimage(random_volume(14), str(tmp_path / name))
+        assert not any(tmp_path.iterdir())
+
     def test_header_never_terminated(self):
         with pytest.raises(MetaImageError):
             read_metaimage(b"ObjectType = Image\nNDims = 3\n")
