@@ -20,11 +20,11 @@ forward computes values only and returns its input as the route; the
 backward runs the passes again on that input, recording the winning tap of
 each, then routes the gradient. The input must therefore not be modified
 between the two; see ``maxpool3d``. A stride-1 same-mode pass runs each tap
-as one shifted slice of the flattened array rather than one slice per row,
-whose rows along width hold only 15-16 values. The shift wraps the taps of
-the outputs at one end of the axis into the neighbouring row, plane, channel
-or batch item; those outputs form one slab, which the forward puts back and
-the backward zeroes before its shifted add.
+as one shifted slice of the flattened array, so numpy starts one loop per
+tap rather than one per row. The shift wraps the taps of the outputs at one
+end of the axis into the neighbouring row, plane, channel or batch item;
+those outputs form one slab, which the forward puts back and the backward
+zeroes before its shifted add.
 
 All functions are pure: they allocate their outputs and never mutate
 arguments. Dropout takes an explicit seed or Generator.
@@ -343,10 +343,10 @@ def _max_pass(x, axis, k, s, p, m, record):
     n = x.shape[axis]
     shape = x.shape[:axis] + (m,) + x.shape[axis + 1:]
     flat = s == 1 and m == n
-    lead_copy = flat and n > p  # tap 0 lands inside the input
-    out = np.empty(shape, x.dtype) if lead_copy else np.full(shape, -np.inf, x.dtype)
+    # a flat pass's tap 0, when it lands inside the input, sets every output
+    out = np.empty(shape, x.dtype) if flat and n > p else np.full(shape, -np.inf, x.dtype)
     tap = np.zeros(shape, dtype=np.int8) if record else None
-    better = np.empty(shape, dtype=bool) if record and k > 2 else None
+    better = np.empty(shape, dtype=bool) if record else None
     views = (x, out, tap, better)
     if flat:  # reshape copies x only when x is not C-contiguous
         views = tuple(None if a is None else a.reshape(-1) for a in views)
@@ -355,20 +355,14 @@ def _max_pass(x, axis, k, s, p, m, record):
         sl = _tap_slices(axis, t, n, s, p, m)
         if sl is None:
             continue
-        o, i = sl
-        kept = []
-        if flat:
-            o, i, wrapped = _shift_slices(axis, t - p, shape)
-            if t and t != p:  # tap 0 finds -inf and records nothing; tap p wraps nothing
-                kept = [(a, a[wrapped].copy()) for a in (out, tap) if a is not None]
+        o, i, wrapped = _shift_slices(axis, t - p, shape) if flat else sl + (None,)
         xs, dst = xv[i], outv[o]
-        if t == 0 and lead_copy:
+        if flat and t == 0:
             np.copyto(dst, xs)
             out[wrapped] = -np.inf
             continue
-        if record and t == 1:  # every tap is still 0, so the winners are tap 1
-            np.greater(xs, dst, out=tapv[o])
-        elif record and t:
+        kept = [(a, a[wrapped].copy()) for a in (out, tap) if a is not None] if flat else []
+        if record and t:
             b = betterv[o]
             np.greater(xs, dst, out=b)
             # a later winner has the larger tap, so the last one to win is the max
@@ -394,41 +388,31 @@ def _max_passes(x, window, stride, pad, out_sp, record):
 def _max_pass_backward(g, tap, axis, k, s, p, n):
     """Adjoint of _max_pass: add each gradient to the voxel of its winning tap.
 
-    The gradient starts at +0 and takes each tap's share g * (tap == t) in
-    tap order. A pass that ran as flat shifted runs moves each share with
-    one flat shifted add, after setting the wrapped slab's share to -0.0,
-    which leaves every sum's bits as they are. Its first share is added to
-    +0 as share + 0.0 in place of a zero fill.
+    A pass that ran as flat shifted runs routes the same way: each tap's
+    share g * (tap == t) goes into one buffer, the wrapped slab's share is
+    set to -0.0, which leaves any sum's bits as they are, ±0 included, and
+    one flat shifted add moves the buffer onto the gradient.
     """
     shape = g.shape[:axis] + (n,) + g.shape[axis + 1:]
+    grad = np.zeros(shape, dtype=g.dtype)
     flat = s == 1 and g.shape[axis] == n
-    if not flat:
-        grad = np.zeros(shape, dtype=g.dtype)
-        for t in range(k):
-            sl = _tap_slices(axis, t, n, s, p, g.shape[axis])
-            if sl is not None:
-                o, i = sl
-                # fixed tap -> injective output-to-voxel map, slice add is safe
-                grad[i] += g[o] * (tap[o] == t)
-        return grad
-    grad = np.empty(shape, dtype=g.dtype)
-    share = np.empty(shape, dtype=g.dtype)
-    winner = np.empty(shape, dtype=bool)
-    gradv, sharev = grad.reshape(-1), share.reshape(-1)
-    started = False
+    if flat:
+        share = np.empty(shape, dtype=g.dtype)
+        winner = np.empty(shape, dtype=bool)
+        gradv, sharev = grad.reshape(-1), share.reshape(-1)
     for t in range(k):
-        if _tap_slices(axis, t, n, s, p, n) is None:
+        sl = _tap_slices(axis, t, n, s, p, g.shape[axis])
+        if sl is None:
             continue
-        (o,), (i,), wrapped = _shift_slices(axis, t - p, shape)
-        np.multiply(g, np.equal(tap, t, out=winner), out=share)
-        share[wrapped] = -0.0
-        if started:
+        if flat:
+            o, i, wrapped = _shift_slices(axis, t - p, shape)
+            np.multiply(g, np.equal(tap, t, out=winner), out=share)
+            share[wrapped] = -0.0
             gradv[i] += sharev[o]
-            continue
-        np.add(sharev[o], 0.0, out=gradv[i])
-        gradv[:i.start] = 0.0
-        gradv[i.stop:] = 0.0
-        started = True
+        else:
+            o, i = sl
+            # fixed tap -> injective output-to-voxel map, slice add is safe
+            grad[i] += g[o] * (tap[o] == t)
     return grad
 
 
