@@ -105,13 +105,11 @@ def read_manifest(out_dir):
 
 def cmd_phantom(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    spec = PhantomSpec(
-        extents=(args.extents,) * 3,
-        tubes=args.tubes,
-        blobs=args.blobs,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    try:
+        spec = PhantomSpec(extents=(args.extents,) * 3, tubes=args.tubes,
+                           blobs=args.blobs, noise=args.noise, seed=args.seed)
+    except ShapeError as exc:  # a bad setting, like any other bad config
+        raise ConfigError(str(exc)) from exc
     written = write_phantom_dataset(args.out, args.n_train, args.n_val, args.n_test,
                                     spec)
     outputs = [p for pair_list in written.values() for pair in pair_list for p in pair]

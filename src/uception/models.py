@@ -73,6 +73,53 @@ class UceptionCfg:
                               f"2^levels = {2 ** self.levels}")
 
 
+def _uception_conv_geometry(cfg: UceptionCfg):
+    """(kernel, in, out) for every conv a Uception owns, in build order."""
+    def deep(ch, d):  # DeepBlock branches a, b, c, d
+        return [(1, ch, d), (1, ch, d), (5, d, d), (1, ch, d), (7, d, d), (1, ch, d)]
+
+    d = cfg.base_depth
+    yield 3, cfg.input_channels, d
+    ch = d
+    for lv in range(cfg.levels):
+        dl = d * 2 ** lv
+        yield from deep(ch, dl)
+        yield from [(3, 4 * dl, dl), (1, 4 * dl, dl), (3, dl, dl)]  # ReductionBlock b, c
+        ch = 6 * dl
+    yield from deep(ch, d * 2 ** cfg.levels)
+    for lv in reversed(range(cfg.levels)):
+        dl = d * 2 ** lv
+        yield from deep(12 * dl, dl)  # upsampled 8 * dl plus the 4 * dl skip
+    yield 1, 4 * d, cfg.output_channels
+
+
+def _unet_conv_geometry(cfg: UceptionCfg, width, bottleneck_width):
+    """(kernel, in, out) for every conv a UNet3d of these widths would own."""
+    ch = cfg.input_channels
+    for lv in range(cfg.levels):
+        w = width * 2 ** lv
+        yield from [(3, ch, w), (3, w, w)]
+        ch = w
+    yield from [(3, ch, bottleneck_width), (3, bottleneck_width, bottleneck_width)]
+    ch = bottleneck_width
+    for lv in reversed(range(cfg.levels)):
+        w = width * 2 ** lv
+        yield from [(3, ch + w, w), (3, w, w)]
+        ch = w
+    yield 1, ch, cfg.output_channels
+
+
+def _conv_param_count(specs, limit=None):
+    """Weights and biases of the convs in specs; with a limit, the count
+    stops as soon as it passes it."""
+    total = 0
+    for k, i, o in specs:
+        total = total + k ** 3 * i * o + o
+        if limit is not None and total > limit:
+            break
+    return total
+
+
 class _ModelBase:
     """The U-net skeleton both models share, plus naming, init, parameter
     access and the input checks.
@@ -200,6 +247,7 @@ class Uception(_ModelBase):
     """
 
     kind = "uception"
+    conv_geometry = staticmethod(_uception_conv_geometry)
 
     def __init__(self, cfg: UceptionCfg, dtype=np.float32):
         super().__init__(cfg, dtype)
@@ -236,12 +284,14 @@ class UNet3d(_ModelBase):
 
     kind = "unet3d"
     record_fields = {"width": int, "bottleneck_width": int}
+    conv_geometry = staticmethod(_unet_conv_geometry)
 
     def __init__(self, cfg: UceptionCfg, width=None, bottleneck_width=None,
                  dtype=np.float32):
         super().__init__(cfg, dtype)
         if width is None:
-            width, bottleneck_width = match_unet_widths(cfg, Uception(cfg).parameter_count())
+            width, bottleneck_width = match_unet_widths(
+                cfg, _conv_param_count(_uception_conv_geometry(cfg)))
         self.width = int(width)
         self.bottleneck_width = int(bottleneck_width)
         r = cfg.dropout_rate
@@ -274,28 +324,6 @@ KINDS = {cls.kind: cls for cls in (Uception, UNet3d)}
 def build_uception(cfg: UceptionCfg, seed=0, dtype=np.float32):
     """Construct and He-initialize a Uception; same seed, same bits."""
     return Uception(cfg, dtype=dtype).init_params(seed)
-
-
-def _unet_conv_geometry(cfg: UceptionCfg, width, bottleneck_width):
-    """(kernel, in, out) for every conv a UNet3d of these widths would own."""
-    specs = []
-    ch = cfg.input_channels
-    for lv in range(cfg.levels):
-        w = width * 2 ** lv
-        specs += [(3, ch, w), (3, w, w)]
-        ch = w
-    specs += [(3, ch, bottleneck_width), (3, bottleneck_width, bottleneck_width)]
-    ch = bottleneck_width
-    for lv in reversed(range(cfg.levels)):
-        w = width * 2 ** lv
-        specs += [(3, ch + w, w), (3, w, w)]
-        ch = w
-    specs += [(1, ch, cfg.output_channels)]
-    return specs
-
-
-def _conv_param_count(specs):
-    return sum(k ** 3 * i * o + o for k, i, o in specs)
 
 
 def match_unet_widths(cfg: UceptionCfg, target_params):
@@ -379,15 +407,22 @@ _RECORD_TYPES = {"kind": str,
                  **{k: t for cls in KINDS.values() for k, t in cls.record_fields.items()}}
 
 
-def _model_from_record(blob, dtype):
-    """The unloaded model a config record describes; every fault is CheckpointError."""
+def _model_from_record(blob, dtype, budget):
+    """The unloaded model a config record describes. It is refused before
+    it is built when its parameters need more than the ``budget`` bytes the
+    file has left; every fault is CheckpointError."""
     try:
         got = read_record(blob.decode("utf-8"), _RECORD_TYPES)
         cls = KINDS.get(got.get("kind"))
         if cls is None:
             raise CheckpointError(f"unknown model kind {got.get('kind')!r}")
-        return cls(UceptionCfg(**{f: got[k] for k, f in CFG_KEYS.items()}), dtype=dtype,
-                   **{k: got[k] for k in cls.record_fields})
+        cfg = UceptionCfg(**{f: got[k] for k, f in CFG_KEYS.items()})
+        fields = {k: got[k] for k in cls.record_fields}
+        count = _conv_param_count(cls.conv_geometry(cfg, **fields), limit=budget // 4)
+        if 4 * count > budget:
+            raise CheckpointError(f"config record implies at least {count} parameters "
+                                  f"({4 * count} bytes), but {budget} bytes follow it")
+        return cls(cfg, dtype=dtype, **fields)
     except (UnicodeDecodeError, KeyError, ConfigError, ShapeError) as exc:
         raise CheckpointError(f"bad checkpoint config record "
                               f"({type(exc).__name__}: {exc})") from exc
@@ -444,7 +479,8 @@ def load_checkpoint(source, dtype=np.float32):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    model = _model_from_record(bytes(take(cfg_len)), dtype)
+    record = bytes(take(cfg_len))
+    model = _model_from_record(record, dtype, budget=len(view) - pos)
     (n_params,) = struct.unpack("<I", take(4))
     values = {}
     for _ in range(n_params):

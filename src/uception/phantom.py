@@ -6,7 +6,9 @@ Gaussian noise make plain intensity thresholding imperfect the same way
 it is on real angiography: thin tubes sit below the bright-max threshold
 and distractors sit above it. Ground truth stays binary and unblurred.
 
-Everything is deterministic per seed, byte for byte.
+Everything is deterministic per seed, byte for byte, and needs numpy
+only: the blur is a separable Gaussian that reproduces the bits of
+``scipy.ndimage.gaussian_filter``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import DataError, ShapeError
 from .preprocess import trilinear_blend
@@ -43,11 +44,22 @@ class PhantomSpec:
             raise ShapeError(f"phantom extents must be 3 values >= 8, got {self.extents}")
         if self.tubes < 1:
             raise ShapeError("phantom needs at least one tube")
-        lo, hi = self.radius_range
-        if not 0 < lo <= hi:
-            raise ShapeError(f"bad radius range {self.radius_range}")
-        if self.noise < 0:
-            raise ShapeError("noise level must be >= 0")
+        positive = ("walk_step", "radius_range", "blob_radius_range", "spacing")
+        for name in ("noise", "curvature", "blur_sigma", "max_foreground") + positive:
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            strict = name in positive
+            if not (np.isfinite(values) & (values > 0 if strict else values >= 0)).all():
+                raise ShapeError(f"phantom {name} must be finite and {'>' if strict else '>='}"
+                                 f" 0, got {getattr(self, name)}")
+        for name in ("radius_range", "blob_radius_range"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:
+                raise ShapeError(f"bad phantom {name} {getattr(self, name)}")
+        if len(self.spacing) != 3:
+            raise ShapeError(f"phantom spacing must be 3 values, got {self.spacing}")
+        if int(4.0 * self.blur_sigma + 0.5) >= min(int(e) for e in self.extents):
+            raise ShapeError(f"blur_sigma {self.blur_sigma} gives a kernel radius that "
+                             f"reaches the smallest extent {min(self.extents)}")
         if self.straight_axis is not None and self.straight_axis not in (0, 1, 2):
             raise ShapeError("straight_axis must be 0, 1 or 2")
 
@@ -109,6 +121,35 @@ def _walk_tube(truth, intensity_map, spec, rng, radius):
             break
 
 
+def _gaussian_blur(x, sigma):
+    """Separable Gaussian correlation over every axis, reflect mode, f64.
+
+    The taps are built as scipy.ndimage's ``_gaussian_kernel1d`` builds
+    them (radius int(4 sigma + 0.5)), and each output sums as scipy's
+    symmetric correlation does: ``w0 * x[i]``, then ``(x[i-j] + x[i+j]) *
+    w[j]`` from the outermost pair in, so the result carries the bits of
+    ``scipy.ndimage.gaussian_filter(x, sigma)``. The radius must stay
+    below every extent (PhantomSpec checks it).
+    """
+    radius = int(4.0 * sigma + 0.5)
+    if radius == 0:
+        return x  # a single tap of weight 1.0
+    taps = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    w = w / w.sum()
+    for axis in range(x.ndim):
+        n = x.shape[axis]
+        pad = [(0, 0)] * x.ndim
+        pad[axis] = (radius, radius)
+        xp = np.moveaxis(np.pad(x, pad, mode="symmetric"), axis, 0)
+        out = xp[radius:radius + n] * w[radius]
+        for j in range(radius, 0, -1):
+            lo, hi = radius - j, radius + j
+            out += (xp[lo:lo + n] + xp[hi:hi + n]) * w[hi]
+        x = np.moveaxis(out, 0, axis)
+    return x
+
+
 def _smooth_background(extents, rng):
     coarse = rng.uniform(0.0, 1.0, size=(4, 4, 4))
     grids = [np.linspace(0.0, 3.0, n) for n in extents]
@@ -141,8 +182,7 @@ def generate_phantom(spec: PhantomSpec):
             f"phantom foreground fraction {fg:.3f} violates sparsity bound "
             f"{spec.max_foreground}"
         )
-    if spec.blur_sigma > 0:
-        structures = gaussian_filter(structures, spec.blur_sigma)
+    structures = _gaussian_blur(structures, spec.blur_sigma)
     image = np.maximum(_smooth_background(extents, rng), structures)
     if spec.noise > 0:
         image = image + spec.noise * rng.standard_normal(extents)

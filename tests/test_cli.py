@@ -118,6 +118,13 @@ class TestPhantomCommand:
         code = main(["phantom", "--out", str(tmp_path / "x"), "--n-train", "0"])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--noise", "-1"),
+                                            ("--tubes", "0"), ("--extents", "4")])
+    def test_bad_setting_is_config_error(self, tmp_path, flag, value):
+        code = main(["phantom", "--out", str(tmp_path / "x"), flag, value])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
+
     def test_negative_val_count_is_io_error(self, tmp_path):
         code = main(["phantom", "--out", str(tmp_path / "x"), "--n-val", "-1"])
         assert code == EXIT_IO

@@ -2,6 +2,7 @@
 capacity matching, checkpoint format."""
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from uception.models import (
     UNet3d,
     Uception,
     _conv_param_count,
+    _uception_conv_geometry,
     _unet_conv_geometry,
     build_uception,
     build_unet3d_baseline,
@@ -208,6 +210,16 @@ class TestMatchUnetWidths:
                     == UNet3d(cfg, w, wb).parameter_count()), (w, wb)
 
 
+    @pytest.mark.parametrize("depth,levels,in_ch,out_ch", [
+        (2, 1, 1, 1), (4, 2, 1, 1), (3, 2, 2, 3), (5, 1, 1, 2), (10, 3, 1, 1)])
+    def test_geometry_counts_what_uception_builds(self, depth, levels, in_ch, out_ch):
+        """The checkpoint reader bounds a record by _uception_conv_geometry."""
+        cfg = UceptionCfg(base_depth=depth, levels=levels, input_channels=in_ch,
+                          output_channels=out_ch)
+        assert (_conv_param_count(_uception_conv_geometry(cfg))
+                == Uception(cfg).parameter_count())
+
+
 def with_record(blob, old, new):
     """blob with old replaced by new in its UCPT config record."""
     (n,) = struct.unpack("<I", blob[8:12])
@@ -243,6 +255,27 @@ class TestCheckpoint:
         blob = save_checkpoint(model)
         assert blob[:4] == CHECKPOINT_MAGIC
         assert struct.unpack("<I", blob[4:8])[0] == 1
+
+    @pytest.mark.parametrize("kind,depth,levels,extra", [
+        ("uception", 100000, 2, ""),
+        ("uception", 4, 10 ** 9, ""),
+        ("unet3d", 4, 2, "width = 100000\nbottleneck_width = 9\n"),
+    ])
+    def test_record_beyond_the_file_is_refused_before_the_model_is_built(
+            self, kind, depth, levels, extra):
+        # a few hundred bytes whose record implies GBs of parameters
+        record = (f"kind = {kind}\ndepth = {depth}\nlevels = {levels}\ndropout = 0.1\n"
+                  f"in_channels = 1\nout_channels = 1\n{extra}").encode()
+        blob = (CHECKPOINT_MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(record))
+                + record + struct.pack("<I", 0) + bytes(200))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="implies at least"):
+                load_checkpoint(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_truncated_checkpoint_rejected(self):
         model = build_uception(UceptionCfg(base_depth=1, levels=1), seed=0)

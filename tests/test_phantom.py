@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from uception.errors import DataError, ShapeError
-from uception.phantom import PhantomSpec, generate_phantom, write_phantom_dataset
+from uception.phantom import (PhantomSpec, _gaussian_blur, generate_phantom,
+                              write_phantom_dataset)
 from uception.preprocess import resample_trilinear
 from uception.volume import load_metaimage, volume_to_mask
 
@@ -61,6 +62,34 @@ def test_bad_spec_rejected():
         PhantomSpec(radius_range=(0.0, 1.0))
     with pytest.raises(ShapeError):
         PhantomSpec(straight_axis=5)
+
+
+@pytest.mark.parametrize("setting", [
+    {"noise": float("nan")}, {"noise": -0.1}, {"curvature": float("inf")},
+    {"curvature": -0.2}, {"walk_step": 0.0}, {"walk_step": float("nan")},
+    {"blur_sigma": float("inf")}, {"blur_sigma": float("nan")}, {"blur_sigma": -1.0},
+    {"radius_range": (1.0, float("inf"))}, {"radius_range": (2.0, 1.0)},
+    {"blob_radius_range": (float("nan"), 3.0)}, {"blob_radius_range": (-1.0, 3.0)},
+    {"spacing": (1.0, float("nan"), 1.0)}, {"spacing": (1.0, 0.0, 1.0)},
+    {"spacing": (1.0, 1.0)}, {"max_foreground": float("nan")},
+])
+def test_non_finite_or_negative_settings_rejected(setting):
+    with pytest.raises(ShapeError):
+        PhantomSpec(**setting)
+
+
+def test_blur_radius_must_stay_below_the_smallest_extent():
+    PhantomSpec(extents=(8, 9, 10), blur_sigma=1.74)  # radius 7
+    with pytest.raises(ShapeError, match="smallest extent 8"):
+        PhantomSpec(extents=(8, 9, 10), blur_sigma=1.88)  # radius 8
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("shape", [(8, 8, 8), (8, 13, 10), (21, 9, 16), (43, 41, 46)])
+def test_gaussian_bits_match_scipy(sigma, shape):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    x = np.random.default_rng(int(sigma * 10) + shape[1]).random(shape)
+    assert np.array_equal(_gaussian_blur(x, sigma), ndimage.gaussian_filter(x, sigma))
 
 
 def test_dataset_writer_split_and_determinism(tmp_path):
