@@ -6,7 +6,11 @@ input slices of the row are stacked into one (n, kw*in_c, voxels) matrix,
 and one (out_c, kw*in_c) matmul consumes it. For stride 1 the rows run
 dy-major: each (dy, dx) slice is copied once across all do+kd-1 padded
 depth planes, and the kd rows of that dy are views of the one buffer at
-depth offsets dz. Peak scratch memory is one padded input plus that buffer,
+depth offsets dz; those kd views are made once per call and stay valid as
+the buffer is refilled for each dy. The padded input is one np.zeros
+allocation with the input copied into its interior by one slice
+assignment, not np.pad, whose generic set-up costs several times that copy
+at desk shapes. Peak scratch memory is one padded input plus that buffer,
 kw*in_c*(do+kd-1)*ho*width values per batch item with width the padded
 width, not a full im2col matrix, and 1-cube kernels read the input
 directly, without a copy. Direct summation keeps structural zeros exact: a
@@ -115,11 +119,18 @@ def _check_frame(what, shape, expect):
 
 
 def _pad_input(x, pad, below=0):
-    """Zero-pad the spatial axes by pad, plus `below` extra rows at the bottom."""
+    """Zero-pad the spatial axes by pad, plus `below` extra rows at the bottom.
+
+    Returns x itself when there is nothing to pad, else a new C-contiguous
+    array: one zeroed allocation and one slice copy of x into its interior.
+    """
     pd, ph, pw = pad
     if pd == 0 and ph == 0 and pw == 0 and below == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph + below), (pw, pw)))
+    n, c, d, h, w = x.shape
+    xp = np.zeros((n, c, d + 2 * pd, h + 2 * ph + below, w + 2 * pw), dtype=x.dtype)
+    xp[:, :, pd:pd + d, ph:ph + h, pw:pw + w] = x
+    return xp
 
 
 def _rows(x, pad, kernel, stride, out_spatial):
@@ -137,10 +148,12 @@ def _rows(x, pad, kernel, stride, out_spatial):
     the shifted slice is copied once across all do+kd-1 padded planes into
     one (n, kw, c, do+kd-1, ho*width) buffer, so the kd rows of that dy are
     views of it at depth offsets dz, with a uniform row stride that matmul
-    reads without a copy. Its scratch is kw*c*(do+kd-1)*ho*width values per
-    batch item. Strided rows come dz-major, copied into one reused buffer
-    of kw*c*do*ho*wo values per batch item. With kw == 1 and no padding,
-    cols is a view of x.
+    reads without a copy. The kd views are built once per call: each dy
+    refills the buffer in place, so the same views then show that dy's
+    rows. Its scratch is kw*c*(do+kd-1)*ho*width values per batch item.
+    Strided rows come dz-major, copied into one reused buffer of
+    kw*c*do*ho*wo values per batch item. With kw == 1 and no padding, cols
+    is a view of x. Padding comes from _pad_input.
     """
     n, c = x.shape[:2]
     kd, kh, kw = kernel
@@ -171,11 +184,13 @@ def _rows(x, pad, kernel, stride, out_spatial):
         if stride == (1, 1, 1):
             depth = do + kd - 1
             buf = np.empty((n, kw, c, depth, ho * width), dtype=x.dtype)
+            # buf is refilled in place for each dy, so these views stay valid
+            views = [buf[:, :, :, dz:dz + do].reshape(n, kw * c, -1) for dz in range(kd)]
             for dy in range(kh):
                 for dx in range(kw):
                     buf[:, dx] = taps(0, dy, dx, depth)
                 for dz in range(kd):
-                    yield dz, dy, buf[:, :, :, dz:dz + do].reshape(n, kw * c, -1)
+                    yield dz, dy, views[dz]
             return
         buf = np.empty((n, kw, c) + taps(0, 0, 0).shape[2:], dtype=x.dtype)
         for dz in range(kd):

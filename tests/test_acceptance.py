@@ -7,7 +7,10 @@ snapshot-averaging criterion.
 """
 import glob
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -17,7 +20,8 @@ from uception.blocks import DeepBlockCfg, ReductionBlockCfg, deep_block, reducti
 from uception.cli import main, run_training
 from uception.errors import MetaImageError
 from uception.gradcheck import format_results, run_suite
-from uception.metrics import average_hausdorff, hard_dice, sensitivity, soft_dice
+from uception.layers import TRAIN, Context
+from uception.metrics import average_hausdorff, hard_dice, sensitivity, soft_dice, soft_dice_backward
 from uception.models import (
     UceptionCfg,
     Uception,
@@ -33,6 +37,7 @@ from uception.preprocess import (
     threshold_baseline,
     tile_patches,
 )
+from uception.tensor import MODES
 from uception.training import (
     SnapshotSet,
     load_dataset,
@@ -358,6 +363,20 @@ RUN_DIGESTS = {
 }
 # SHA-256 of the concatenated repr(max_rel_error) of run_suite()
 SUITE_DIGEST = "6d86663cc5d4ec3787b34f96faf02c39162a70dde0d946ce89b48df4b1172f56"
+# (kind, mode) -> SHA-256 of the parameter gradients of one seeded desk TRAIN
+# step (batch 2) and of one INFER forward of a 16-cube tile (batch 1): the
+# U-net and the batch-1 path, which RUN_DIGESTS does not reach. Computed
+# with one BLAS thread; see step_digests.
+STEP_DIGESTS = {
+    ("uception", "f32"): ("230c7793f5db9fbd872ac2a6061f35babc7bc16e3c211a134eae24fc5f977dfa",
+                          "663ea4072431f8e02bc2574763411489e0670f05b33de2f5f526eb31d2d5fc3f"),
+    ("uception", "f64"): ("8eb3eff1ae6788d87d5b634fb496feed29258a01cd21f73dbed8d4ffea257dab",
+                          "1a7eba7d8bc2fec280fa37fbaa372c4e4d7703f8711fc3afcdc676fe6875a3d2"),
+    ("unet3d", "f32"): ("c5cbd6c8545455e49fafb006c6875d34965f7530357afb0c99736e603d3a930a",
+                        "912f2e5076b0d0493187e120a74db3f9ee8f437a537e4dfa478ca83bb7d54f2f"),
+    ("unet3d", "f64"): ("c6cf27fa1c082d24ac6924bc833a8e3a82ad27827d88159fa2cf418f32971b79",
+                        "44dee7179d88118bb9f3d5a7403cbd070a3636d295a247e480739287123d2cae"),
+}
 
 
 def _build_versions():
@@ -386,3 +405,41 @@ def test_gradient_suite_errors_are_pinned():
     digest = hashlib.sha256(errors.encode()).hexdigest()
     assert digest == SUITE_DIGEST, (
         f"gradient suite max_rel_error reprs moved: {errors!r} ({_build_versions()})")
+
+
+def _step_digests(kind, mode):
+    dtype = MODES[mode]
+    build = {"uception": build_uception, "unet3d": build_unet3d_baseline}[kind]
+    model = build(UceptionCfg(base_depth=4, levels=2, dropout_rate=0.18), seed=0, dtype=dtype)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 1, 16, 16, 16)).astype(dtype)
+    t = rng.random((2, 1, 16, 16, 16)) < 0.3
+    y, cache = model.forward(x, Context(mode=TRAIN, rng=np.random.default_rng(17)))
+    grads = {}
+    model.backward(soft_dice_backward(y, t, 1.0), cache, grads)
+    train = hashlib.sha256()
+    for name in model.parameters():
+        train.update(grads[name].tobytes())
+    tile = rng.standard_normal((1, 1, 16, 16, 16)).astype(dtype)
+    return train.hexdigest(), hashlib.sha256(forward(model, tile).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def step_digests():
+    """STEP_DIGESTS keys -> digests, computed in a child process with one BLAS
+    thread: the f64 U-net's dec1.conv_a weight gradient moves with the
+    OpenBLAS thread count."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    code = ("import json, test_acceptance as t; "
+            "print(json.dumps([t._step_digests(*key) for key in sorted(t.STEP_DIGESTS)]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=os.path.join(REPO, "tests"), env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return dict(zip(sorted(STEP_DIGESTS), map(tuple, json.loads(proc.stdout.splitlines()[-1]))))
+
+
+@pytest.mark.parametrize("kind, mode", sorted(STEP_DIGESTS))
+def test_model_step_bytes_are_pinned(step_digests, kind, mode):
+    assert step_digests[kind, mode] == STEP_DIGESTS[kind, mode], (
+        f"{kind} {mode} train-step gradients or infer output moved ({_build_versions()})")

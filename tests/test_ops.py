@@ -618,6 +618,55 @@ def test_conv_matches_per_offset_loop(k, s, padding, n, in_c, out_c, extra, seed
         assert _rel(got, ref) <= 1e-12
 
 
+PAD_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       shape=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 4),
+                       st.integers(1, 4), st.integers(1, 4)),
+       layout=st.sampled_from(["c", "transposed", "strided"]),
+       pad=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+       below=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
+def test_pad_input_matches_np_pad(dtype, shape, layout, pad, below, seed):
+    g = np.random.default_rng(seed)
+    x = g.standard_normal(shape).astype(dtype)
+    special = g.random(shape) < 0.3
+    x[special] = g.choice(np.array(PAD_SPECIALS, dtype=dtype), special.sum())
+    if layout == "transposed":
+        x = np.ascontiguousarray(x.transpose(4, 3, 2, 1, 0)).transpose(4, 3, 2, 1, 0)
+    elif layout == "strided":
+        big = np.zeros(tuple(2 * e for e in shape), dtype=dtype)
+        big[::2, 1::2, ::2, 1::2, ::2] = x
+        x = big[::2, 1::2, ::2, 1::2, ::2]
+    got = ops._pad_input(x, pad, below)
+    if pad == (0, 0, 0) and below == 0:
+        assert got is x
+        return
+    pd, ph, pw = pad
+    want = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph + below), (pw, pw)))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous  # _rows reshapes it into planes without a copy
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, s", [(5, 1), (3, 2)])
+def test_conv_pads_without_np_pad(monkeypatch, k, s):
+    """At desk shapes np.pad's generic set-up costs several times the copy it
+    makes, so the per-call conv path keeps to one allocation and one copy."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.pad called in the conv path")
+
+    spec = ConvSpec(2, 3, (k, k, k), (s, s, s))
+    g = rng(23)
+    x = g.standard_normal((1, 2, 6, 6, 6))
+    w = g.standard_normal(spec.weight_shape())
+    grad = g.standard_normal((1, 3) + spec.out_spatial(x.shape[2:]))
+    monkeypatch.setattr(np, "pad", refuse)
+    ops.conv3d(x, w, np.zeros(3), spec)
+    ops.conv3d_backward(x, w, grad, spec)
+
+
 class TestStructuralZeros:
     """Direct summation keeps a weight tap that meets no live voxel exactly
     inert, which the model gradcheck relies on. An FFT kernel does not: its
