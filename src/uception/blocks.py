@@ -58,7 +58,7 @@ class _ParallelConcat:
             )
         outs, caches, widths = [], [], []
         for _, branch in self.branches:
-            y, cache = branch.forward(x, ctx)
+            y, cache = layers.call(branch, x, ctx)
             outs.append(y)
             caches.append(cache)
             widths.append(y.shape[1])
@@ -69,7 +69,7 @@ class _ParallelConcat:
         pieces = ops.concat_channels_backward(grad_out, widths)
         grad_x = None
         for (_, branch), piece, bc in zip(self.branches, pieces, caches):
-            g = branch.backward(piece, bc, grads)
+            g = layers.back(branch, piece, bc, grads)
             grad_x = g if grad_x is None else grad_x + g
         return grad_x
 
@@ -141,7 +141,7 @@ def reduction_block(cfg: ReductionBlockCfg, x, ctx=None, rng=None, dtype=None):
 
 def _apply_once(block, x, ctx, rng):
     layers.init_params(block, np.random.default_rng(0 if rng is None else rng))
-    y, _ = block.forward(np.asarray(x), ctx or Context())
+    y, _ = layers.call(block, np.asarray(x), ctx or Context())
     return y
 
 

@@ -211,7 +211,7 @@ def _graph_check(graph, in_c, ext, rng, cap, h, ctx_seed):
 
     def run():
         ctx = Context(mode=TRAIN, rng=np.random.default_rng(ctx_seed))
-        return graph.forward(x, ctx)
+        return layers.call(graph, x, ctx)
 
     y0, cache = run()
     r = _rand(y0.shape, rng)
@@ -221,7 +221,7 @@ def _graph_check(graph, in_c, ext, rng, cap, h, ctx_seed):
         return float((y * r).sum())
 
     grads = {}
-    gx = graph.backward(r, cache, grads)
+    gx = layers.back(graph, r, cache, grads)
     return scalar, {"x": x, **graph.parameters()}, {"x": gx, **grads}, cap, h
 
 

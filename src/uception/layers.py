@@ -5,6 +5,11 @@ activations: ``forward`` returns ``(output, cache)`` and ``backward``
 consumes that cache, so a built graph stays read-only during the forward
 pass and can be shared across threads for inference. Parameter gradients
 are accumulated into the ``grads`` dict passed to ``backward``.
+
+A parent reaches a child only through ``call`` and ``back``. Only a TRAIN
+forward keeps the child's cache; in INFER mode ``call`` hands back the
+``DROPPED`` sentinel, so an INFER cache holds no array, no layer input is
+kept for a backward that will never run, and backward needs a TRAIN forward.
 """
 from __future__ import annotations
 
@@ -26,6 +31,23 @@ class Context:
             raise ShapeError(f"mode must be 'train' or 'infer', got {mode!r}")
         self.mode = mode
         self.rng = None if rng is None else np.random.default_rng(rng)
+
+
+# the cache of a call made in INFER mode; back() refuses it
+DROPPED = object()
+
+
+def call(layer, x, ctx):
+    """Run layer.forward; the cache is kept only in TRAIN mode."""
+    y, cache = layer.forward(x, ctx)
+    return y, cache if ctx.mode == TRAIN else DROPPED
+
+
+def back(layer, grad_out, cache, grads):
+    """Run layer.backward on a cache from a TRAIN-mode call."""
+    if cache is DROPPED:
+        raise ShapeError("backward needs a TRAIN-mode forward; an INFER forward keeps no cache")
+    return layer.backward(grad_out, cache, grads)
 
 
 def accumulate_grad(grads, name, g):
@@ -135,13 +157,13 @@ class Chain:
     def forward(self, x, ctx):
         caches = []
         for layer in self.layers:
-            x, cache = layer.forward(x, ctx)
+            x, cache = call(layer, x, ctx)
             caches.append(cache)
         return x, caches
 
     def backward(self, grad_out, caches, grads):
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            grad_out = layer.backward(grad_out, cache, grads)
+            grad_out = back(layer, grad_out, cache, grads)
         return grad_out
 
 

@@ -30,7 +30,7 @@ from . import layers
 from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
 from .errors import CheckpointError, ConfigError, ShapeError
 from .layers import (Chain, Context, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest,
-                     conv_unit)
+                     back, call, conv_unit)
 from .ops import SAME, ConvSpec
 from .tensor import AXES, as_tensor5
 
@@ -129,8 +129,9 @@ class _ModelBase:
     ``(deep, down)`` pair in ``enc`` whose deep output is that level's skip,
     a ``bottleneck``, the decoder stages ``dec_deep`` (deepest level first),
     each reading the upsampled features concatenated with its level's skip,
-    and the 1-cube ``head`` conv. ``forward`` and ``backward`` walk them,
-    calling every stage through its attribute at call time.
+    and the 1-cube ``head`` conv. ``forward`` and ``backward`` walk them
+    through ``layers.call`` and ``layers.back``, which look every stage's
+    method up at call time.
     """
 
     record_fields = {}  # constructor arguments the UCPT record stores, with types
@@ -199,42 +200,43 @@ class _ModelBase:
                 )
 
     def forward(self, x, ctx):
-        """Returns (probability volume, cache). Cache feeds backward()."""
+        """Returns (probability volume, cache). Cache feeds backward(), which
+        needs a TRAIN-mode forward: an INFER cache holds no array."""
         x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
-        h, c_stem = self.stem.forward(x, ctx)
+        h, c_stem = call(self.stem, x, ctx)
         skips, enc_caches = [], []
         for deep, down in self.enc:
-            h, c_deep = deep.forward(h, ctx)
+            h, c_deep = call(deep, h, ctx)
             skips.append(h)
-            h, c_down = down.forward(h, ctx)
+            h, c_down = call(down, h, ctx)
             enc_caches.append((c_deep, c_down))
-        h, c_bott = self.bottleneck.forward(h, ctx)
+        h, c_bott = call(self.bottleneck, h, ctx)
         dec_caches = []
         for deep, skip in zip(self.dec_deep, reversed(skips)):
-            up, c_up = self.up.forward(h, ctx)
-            h, c_deep = deep.forward(np.concatenate([up, skip], axis=1), ctx)
+            up, c_up = call(self.up, h, ctx)
+            h, c_deep = call(deep, np.concatenate([up, skip], axis=1), ctx)
             dec_caches.append((up.shape[1], c_up, c_deep))
-        z, c_head = self.head.forward(h, ctx)
-        y, c_sig = self.out_sigmoid.forward(z, ctx)
+        z, c_head = call(self.head, h, ctx)
+        y, c_sig = call(self.out_sigmoid, z, ctx)
         return y, (c_stem, enc_caches, c_bott, dec_caches, c_head, c_sig)
 
     def backward(self, grad_out, cache, grads):
         c_stem, enc_caches, c_bott, dec_caches, c_head, c_sig = cache
-        g = self.out_sigmoid.backward(grad_out, c_sig, grads)
-        g = self.head.backward(g, c_head, grads)
+        g = back(self.out_sigmoid, grad_out, c_sig, grads)
+        g = back(self.head, g, c_head, grads)
         skip_grads = []  # shallowest level first
         for deep, (up_ch, c_up, c_deep) in zip(reversed(self.dec_deep), reversed(dec_caches)):
-            g = deep.backward(g, c_deep, grads)
+            g = back(deep, g, c_deep, grads)
             skip_grads.append(g[:, up_ch:])
-            g = self.up.backward(g[:, :up_ch], c_up, grads)
-        g = self.bottleneck.backward(g, c_bott, grads)
+            g = back(self.up, g[:, :up_ch], c_up, grads)
+        g = back(self.bottleneck, g, c_bott, grads)
         for (deep, down), (c_deep, c_down), skip_grad in zip(
                 reversed(self.enc), reversed(enc_caches), reversed(skip_grads)):
-            g = down.backward(g, c_down, grads)
+            g = back(down, g, c_down, grads)
             g = g + skip_grad
-            g = deep.backward(g, c_deep, grads)
-        return self.stem.backward(g, c_stem, grads)
+            g = back(deep, g, c_deep, grads)
+        return back(self.stem, g, c_stem, grads)
 
 
 class Uception(_ModelBase):
@@ -363,7 +365,7 @@ def build_unet3d_baseline(cfg: UceptionCfg, seed=0, dtype=np.float32):
 def forward(model, x, mode="infer", seed=None):
     """Run a model on a batch; train mode is deterministic given seed."""
     ctx = Context(mode=mode, rng=seed)
-    y, _ = model.forward(as_tensor5(x, dtype=model.dtype), ctx)
+    y, _ = call(model, as_tensor5(x, dtype=model.dtype), ctx)
     return y
 
 

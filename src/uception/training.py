@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, DataError, ShapeError
-from .layers import Context, INFER, TRAIN
+from .layers import Context, INFER, TRAIN, back, call
 from .metrics import evaluate_masks, soft_dice, soft_dice_backward
 from .models import KINDS, Uception, UceptionCfg, format_record, read_record
 from .optim import AdamState, CyclicSchedule, adam_step
@@ -161,11 +161,11 @@ def train_epoch(model, dataset, adam: AdamState, *, batch=2, patch=64, seed=0,
         x = np.concatenate(xs).astype(model.dtype)
         t = np.concatenate(ts)
         ctx = Context(mode=TRAIN, rng=rng)
-        y, cache = model.forward(x, ctx)
+        y, cache = call(model, x, ctx)
         losses.append(-soft_dice(y, t, smooth))
         grad_y = (-soft_dice_backward(y, t, smooth)).astype(model.dtype)
         grads = {}
-        model.backward(grad_y, cache, grads)
+        back(model, grad_y, cache, grads)
         adam_step(params, grads, adam)
     return float(np.mean(losses))
 
@@ -177,7 +177,7 @@ def predict_volume(model, image, patch):
     out_tiles = []
     ctx = Context(mode=INFER)
     for origin, block in tiles:
-        y, _ = model.forward(block[None, None].astype(model.dtype), ctx)
+        y, _ = call(model, block[None, None].astype(model.dtype), ctx)
         out_tiles.append((origin, y[0, 0]))
     prob = reassemble(out_tiles, padded_shape, dtype=model.dtype)
     return check_finite(crop_to(prob, image.shape), "probability volume")

@@ -9,7 +9,7 @@ import pytest
 
 from uception import layers
 from uception.errors import CheckpointError, ShapeError
-from uception.layers import Context
+from uception.layers import TRAIN, Context
 from uception.models import (
     CHECKPOINT_MAGIC,
     UceptionCfg,
@@ -125,7 +125,7 @@ class TestUception:
                 if name.endswith("conv1.w") and arr.shape[1] == deep.cfg.in_channels:
                     arr[:, :up_ch] = 0.0
         x = np.random.default_rng(5).standard_normal((1, 1, 8, 8, 8))
-        y, cache = model.forward(x, Context())
+        y, cache = model.forward(x, Context(mode=TRAIN))  # dropout 0: no rng needed
         grads = {}
         gx = model.backward(np.ones_like(y), cache, grads)
         assert np.abs(gx).max() > 0.0
