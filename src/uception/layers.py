@@ -10,6 +10,8 @@ A parent reaches a child only through ``call`` and ``back``. Only a TRAIN
 forward keeps the child's cache; in INFER mode ``call`` hands back the
 ``DROPPED`` sentinel, so an INFER cache holds no array, no layer input is
 kept for a backward that will never run, and backward needs a TRAIN forward.
+A TRAIN cache keeps what its backward reads and no more: ReLU and Dropout
+keep a bool mask, 1 byte per voxel, not a float array.
 """
 from __future__ import annotations
 
@@ -85,7 +87,8 @@ class Conv3d:
 
 class ReLU:
     def forward(self, x, ctx):
-        return ops.relu(x), x
+        # the backward reads only the sign, so a TRAIN cache is the bool x > 0
+        return ops.relu(x), (x > 0 if ctx.mode == TRAIN else None)
 
     def backward(self, grad_out, cache, grads):
         return ops.relu_backward(grad_out, cache)

@@ -213,10 +213,15 @@ class _ModelBase:
             enc_caches.append((c_deep, c_down))
         h, c_bott = call(self.bottleneck, h, ctx)
         dec_caches = []
-        for deep, skip in zip(self.dec_deep, reversed(skips)):
+        for deep in self.dec_deep:
             up, c_up = call(self.up, h, ctx)
-            h, c_deep = call(deep, np.concatenate([up, skip], axis=1), ctx)
-            dec_caches.append((up.shape[1], c_up, c_deep))
+            up_ch = up.shape[1]
+            # the stage input is all that stays live: the old h, the used
+            # skip and up are let go before the stage runs
+            h = np.concatenate([up, skips.pop()], axis=1)
+            del up
+            h, c_deep = call(deep, h, ctx)
+            dec_caches.append((up_ch, c_up, c_deep))
         z, c_head = call(self.head, h, ctx)
         y, c_sig = call(self.out_sigmoid, z, ctx)
         return y, (c_stem, enc_caches, c_bott, dec_caches, c_head, c_sig)

@@ -1,23 +1,26 @@
 """Primitive layer operations: forward and exact reverse-mode backward.
 
 Convolution is cross-correlation (no kernel flip), summed directly in the
-spatial domain. It runs one (dz, dy) kernel row at a time: the kw shifted
-input slices of the row are stacked into one (n, kw*in_c, voxels) matrix,
-and one (out_c, kw*in_c) matmul consumes it. For stride 1 the rows run
-dy-major: each (dy, dx) slice is copied once across all do+kd-1 padded
-depth planes, and the kd rows of that dy are views of the one buffer at
-depth offsets dz; those kd views are made once per call and stay valid as
-the buffer is refilled for each dy. The padded input is one np.zeros
-allocation with the input copied into its interior by one slice
-assignment, not np.pad, whose generic set-up costs several times that copy
-at desk shapes. Peak scratch memory is one padded input plus that buffer,
-kw*in_c*(do+kd-1)*ho*width values per batch item with width the padded
-width, not a full im2col matrix, and 1-cube kernels read the input
-directly, without a copy. Direct summation keeps structural zeros exact: a
-weight tap that meets only zero or out-of-range voxels gets a gradient of
-exactly 0.0, and such a tap adds nothing to the output. For stride 1 the
-input gradient is the same row-batched correlation, of the gradient with
-the flipped, channel-transposed kernel.
+spatial domain. It runs one batch item and one (dz, dy) kernel row at a
+time: the kw shifted input slices of the row are stacked into one
+(kw*in_c, voxels) matrix, and one (out_c, kw*in_c) matmul consumes it. For
+stride 1 the rows run dy-major: each (dy, dx) slice is copied once across
+all do+kd-1 padded depth planes, and the kd rows of that dy are views of
+the one buffer at depth offsets dz; those kd views are made once per call
+and stay valid as the buffer is refilled for each item and dy. Each item's
+padded input is one np.zeros allocation with the item copied into its
+interior by one slice assignment, not np.pad, whose generic set-up costs
+several times that copy at desk shapes. So the scratch beyond the output
+is one item's: its padded input, that buffer of kw*in_c*(do+kd-1)*ho*width
+values with width the padded width (not a full im2col matrix), the row
+product and its accumulator; 1-cube kernels read the input directly,
+without a copy. The weight gradient adds the items' row products in
+order, which gives the bits of one batched product summed over the batch.
+Direct summation keeps structural zeros exact: a weight tap that meets
+only zero or out-of-range voxels gets a gradient of exactly 0.0, and such
+a tap adds nothing to the output. For stride 1 the input gradient is the
+same row-wise correlation, of the gradient with the flipped,
+channel-transposed kernel.
 
 Max pooling runs as three 1-D passes (width, then height, then depth). The
 forward computes values only and returns its input as the route; the
@@ -28,7 +31,13 @@ as one shifted slice of the flattened array, so numpy starts one loop per
 tap rather than one per row. The shift wraps the taps of the outputs at one
 end of the axis into the neighbouring row, plane, channel or batch item;
 those outputs form one slab, which the forward puts back and the backward
-zeroes before its shifted add.
+zeroes before its shifted add. The backward works on one slab of whole
+(batch, channel) planes at a time, about _POOL_SLAB voxels: pooling never
+mixes planes, so this is exact, and its tap arrays and scratch stay one
+slab's.
+
+ReLU and dropout backwards read one bit per voxel: relu_backward accepts
+the bool mask x > 0 in place of x, and dropout's keep mask is bool.
 
 All functions are pure: they allocate their outputs and never mutate
 arguments. Dropout takes an explicit seed or Generator.
@@ -45,6 +54,10 @@ from .tensor import AXES
 
 SAME = "same"
 VALID = "valid"
+# voxels per slab of whole planes that maxpool3d_backward works on at a
+# time. Measured on the desk pools: 2^16 and 2^17 ran the (2, 48, 16-cube)
+# backward fastest, and 2^16 gives the lower peak of a training step.
+_POOL_SLAB = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,8 @@ def _check_frame(what, shape, expect):
 
 
 def _pad_input(x, pad, below=0):
-    """Zero-pad the spatial axes by pad, plus `below` extra rows at the bottom.
+    """Zero-pad the last three (spatial) axes by pad, plus `below` extra rows
+    at the bottom.
 
     Returns x itself when there is nothing to pad, else a new C-contiguous
     array: one zeroed allocation and one slice copy of x into its interior.
@@ -127,79 +141,75 @@ def _pad_input(x, pad, below=0):
     pd, ph, pw = pad
     if pd == 0 and ph == 0 and pw == 0 and below == 0:
         return x
-    n, c, d, h, w = x.shape
-    xp = np.zeros((n, c, d + 2 * pd, h + 2 * ph + below, w + 2 * pw), dtype=x.dtype)
-    xp[:, :, pd:pd + d, ph:ph + h, pw:pw + w] = x
+    *lead, d, h, w = x.shape
+    xp = np.zeros((*lead, d + 2 * pd, h + 2 * ph + below, w + 2 * pw), dtype=x.dtype)
+    xp[..., pd:pd + d, ph:ph + h, pw:pw + w] = x
     return xp
 
 
 def _rows(x, pad, kernel, stride, out_spatial):
-    """Column matrices of a correlation over x zero-padded by pad.
+    """Column matrices of a correlation over x zero-padded by pad, one batch
+    item at a time.
 
-    Returns (width, rows): rows yields (dz, dy, cols) for each kernel row,
-    where cols is (n, kw*c, voxels), the kw input slices of the row shifted
-    by dx and stacked tap-major along the channel axis. The voxels run over
-    a (do, ho, width) grid. For stride 1 the grid is wide: each output row
-    runs on over the kw-1 padded columns after it, so width is the padded
-    width and every slice is one contiguous run per plane; no output uses
-    the columns past wo.
+    Returns (width, rows): rows(b) yields (dz, dy, cols) for each kernel row
+    of batch item b, where cols is (kw*c, voxels), the kw input slices of the
+    row shifted by dx and stacked tap-major along the channel axis. The
+    voxels run over a (do, ho, width) grid. For stride 1 the grid is wide:
+    each output row runs on over the kw-1 padded columns after it, so width
+    is the padded width and every slice is one contiguous run per plane; no
+    output uses the columns past wo.
 
     Stride-1 rows come dy-major and share the depth axis. For each (dy, dx)
     the shifted slice is copied once across all do+kd-1 padded planes into
-    one (n, kw, c, do+kd-1, ho*width) buffer, so the kd rows of that dy are
+    one (kw, c, do+kd-1, ho*width) buffer, so the kd rows of that dy are
     views of it at depth offsets dz, with a uniform row stride that matmul
-    reads without a copy. The kd views are built once per call: each dy
-    refills the buffer in place, so the same views then show that dy's
-    rows. Its scratch is kw*c*(do+kd-1)*ho*width values per batch item.
-    Strided rows come dz-major, copied into one reused buffer of
-    kw*c*do*ho*wo values per batch item. With kw == 1 and no padding, cols
-    is a view of x. Padding comes from _pad_input.
+    reads without a copy. The buffer and its kd views are built once per
+    call: each item and each dy refill the buffer in place, so the same
+    views then show that row. Its scratch is kw*c*(do+kd-1)*ho*width values,
+    for one item. Strided rows come dz-major, copied into one reused buffer
+    of kw*c*do*ho*wo values. With kw == 1 and no padding, cols is a view of
+    x. Each item is padded on its own by _pad_input.
     """
-    n, c = x.shape[:2]
+    c, w = x.shape[1], x.shape[4]
     kd, kh, kw = kernel
     sd, sh, sw = stride
     do, ho, wo = out_spatial
-    if stride == (1, 1, 1):
-        # one extra zero row keeps the last kernel row's runs inside their plane
-        xp = _pad_input(x, pad, below=1 if kw > 1 else 0)
-        width = xp.shape[4]
-        planes = xp.reshape(n, c, xp.shape[2], -1)
+    flat = stride == (1, 1, 1)
+    # one extra zero row keeps the last kernel row's runs inside their plane
+    below = 1 if flat and kw > 1 else 0
+    width = w + 2 * pad[2] if flat else wo
+    if kw > 1 and flat:
+        depth = do + kd - 1
+        buf = np.empty((kw, c, depth, ho * width), dtype=x.dtype)
+        # buf is refilled in place, so these views stay valid
+        views = [buf[:, :, dz:dz + do].reshape(kw * c, -1) for dz in range(kd)]
+    elif kw > 1:
+        buf = np.empty((kw, c, do, ho, wo), dtype=x.dtype)
 
-        def taps(dz, dy, dx, span=do):
-            start = dy * width + dx
-            return planes[:, :, dz:dz + span, start:start + ho * width]
-    else:
-        xp = _pad_input(x, pad)
-        width = wo
-
-        def taps(dz, dy, dx):
-            return xp[:, :, dz:dz + sd * do:sd, dy:dy + sh * ho:sh, dx:dx + sw * wo:sw]
-
-    def rows():
+    def rows(b):
+        xp = _pad_input(x[b], pad, below)
         if kw == 1:
             for dz in range(kd):
                 for dy in range(kh):
-                    yield dz, dy, taps(dz, dy, 0).reshape(n, c, -1)
+                    cols = xp[:, dz:dz + sd * do:sd, dy:dy + sh * ho:sh, :sw * wo:sw]
+                    yield dz, dy, cols.reshape(c, -1)
             return
-        if stride == (1, 1, 1):
-            depth = do + kd - 1
-            buf = np.empty((n, kw, c, depth, ho * width), dtype=x.dtype)
-            # buf is refilled in place for each dy, so these views stay valid
-            views = [buf[:, :, :, dz:dz + do].reshape(n, kw * c, -1) for dz in range(kd)]
+        if flat:
+            planes = xp.reshape(c, depth, -1)
             for dy in range(kh):
                 for dx in range(kw):
-                    buf[:, dx] = taps(0, dy, dx, depth)
+                    start = dy * width + dx
+                    buf[dx] = planes[:, :, start:start + ho * width]
                 for dz in range(kd):
                     yield dz, dy, views[dz]
             return
-        buf = np.empty((n, kw, c) + taps(0, 0, 0).shape[2:], dtype=x.dtype)
         for dz in range(kd):
             for dy in range(kh):
                 for dx in range(kw):
-                    buf[:, dx] = taps(dz, dy, dx)
-                yield dz, dy, buf.reshape(n, kw * c, -1)
+                    buf[dx] = xp[:, dz:dz + sd * do:sd, dy:dy + sh * ho:sh, dx:dx + sw * wo:sw]
+                yield dz, dy, buf.reshape(kw * c, -1)
 
-    return width, rows()
+    return width, rows
 
 
 def _row_weights(weights):
@@ -209,20 +219,32 @@ def _row_weights(weights):
 
 
 def _correlate(x, pad, weights, stride, out_spatial):
-    """Cross-correlation of x zero-padded by pad, (n, out_c) + out_spatial."""
+    """Cross-correlation of x zero-padded by pad, (n, out_c) + out_spatial.
+
+    Items run one at a time: the row sums of one item go into one
+    (out_c, voxels) accumulator, and each row's matmul into one `part`
+    buffer of that size, so the scratch beyond the output is one item's.
+    The accumulator is the item's slice of the output unless the wide
+    stride-1 grid needs cropping.
+    """
     n = x.shape[0]
     out_c, _, kd, kh, _ = weights.shape
     do, ho, wo = out_spatial
     wrows = _row_weights(weights)
     width, rows = _rows(x, pad, weights.shape[2:], stride, out_spatial)
-    out = np.empty((n, out_c, do * ho * width), dtype=x.dtype)
-    part = np.empty_like(out) if kd * kh > 1 else None
-    for i, (dz, dy, cols) in enumerate(rows):
-        np.matmul(wrows[dz, dy], cols, out=part if i else out)
-        if i:
-            out += part
-    out = out.reshape(n, out_c, do, ho, width)
-    return np.ascontiguousarray(out[..., :wo]) if width != wo else out
+    out = np.empty((n, out_c) + tuple(out_spatial), dtype=x.dtype)
+    items = out.reshape(n, out_c, -1)
+    wide = np.empty((out_c, do * ho * width), dtype=x.dtype) if width != wo else None
+    part = np.empty((out_c, do * ho * width), dtype=x.dtype) if kd * kh > 1 else None
+    for b in range(n):
+        acc = items[b] if wide is None else wide
+        for i, (dz, dy, cols) in enumerate(rows(b)):
+            np.matmul(wrows[dz, dy], cols, out=part if i else acc)
+            if i:
+                acc += part
+        if wide is not None:
+            out[b] = wide.reshape(out_c, do, ho, width)[..., :wo]
+    return out
 
 
 def conv3d(x, weights, bias, spec):
@@ -247,7 +269,11 @@ def conv3d(x, weights, bias, spec):
 def conv3d_backward(x, weights, grad_out, spec):
     """Exact gradients of conv3d wrt input, weights and bias.
 
-    The weight gradient is summed per kernel row like the forward. For
+    The weight gradient is summed per kernel row like the forward, one
+    batch item at a time, and the items are added in order, which gives the
+    bits of a sum over the batch axis. Each row's product is formed as
+    (cols @ gy.T).T: with OpenBLAS it gave the same f64 bits at 1 to 4
+    threads, where gy @ cols.T gave other bits at 1 thread than at 2. For
     stride 1 the input gradient is the correlation of grad_out with the
     flipped, channel-transposed kernel; strided convs scatter it back per
     kernel tap.
@@ -263,36 +289,41 @@ def conv3d_backward(x, weights, grad_out, spec):
     _check_frame("conv3d_backward: grad_out", grad_out.shape, (n, out_c) + out_sp)
     strided = spec.stride != (1, 1, 1)
     if strided:
-        padded = tuple(e + 2 * p for e, p in zip(x.shape[2:], spec.pad))
-        grad_xp = np.zeros(x.shape[:2] + padded, dtype=x.dtype)
+        pd, ph, pw = spec.pad
+        d, h, w = x.shape[2:]
+        grad_x = np.empty(x.shape, dtype=x.dtype)
         wcols = _row_weights(weights).transpose(0, 1, 3, 2)
     else:
         flipped = weights[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
         back_pad = tuple(k - 1 - p for k, p in zip(spec.kernel, spec.pad))
         grad_x = _correlate(grad_out, back_pad, flipped, (1, 1, 1), x.shape[2:])
     width, rows = _rows(x, spec.pad, spec.kernel, spec.stride, out_sp)
-    gy = grad_out
-    if width != wo:
-        # a zero gradient on the unused columns keeps their products exactly 0
-        gy = np.zeros((n, out_c, do, ho, width), dtype=x.dtype)
-        gy[..., :wo] = grad_out
-    gy = gy.reshape(n, out_c, -1)
-    grad_w = np.empty_like(weights)
-    for dz, dy, cols in rows:
-        gw = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
-        grad_w[:, :, dz, dy] = gw.reshape(out_c, kw, in_c).transpose(0, 2, 1)
+    # a zero gradient on the unused columns keeps their products exactly 0
+    wide = np.zeros((out_c, do, ho, width), dtype=x.dtype) if width != wo else None
+    # row products in the layout they come in, (kd, kh, kw*in_c, out_c)
+    gw = np.empty((kd, kh, kw * in_c, out_c), dtype=x.dtype)
+    for b in range(n):
+        if wide is None:
+            gy = grad_out[b].reshape(out_c, -1)
+        else:
+            wide[..., :wo] = grad_out[b]
+            gy = wide.reshape(out_c, -1)
         if strided:
-            gcols = np.matmul(wcols[dz, dy], gy).reshape(n, kw, in_c, do, ho, wo)
-            for dx in range(kw):
-                # fixed tap -> injective output-to-voxel map, slice add is safe
-                grad_xp[:, :, dz:dz + sd * do:sd, dy:dy + sh * ho:sh,
-                        dx:dx + sw * wo:sw] += gcols[:, dx]
-    if strided:
-        pd, ph, pw = spec.pad
-        d, h, w = x.shape[2:]
-        grad_x = grad_xp[:, :, pd:pd + d, ph:ph + h, pw:pw + w]
-        if pd or ph or pw:
-            grad_x = np.ascontiguousarray(grad_x)
+            grad_xp = np.zeros((in_c, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        for dz, dy, cols in rows(b):
+            if b:
+                gw[dz, dy] += np.matmul(cols, gy.T)
+            else:
+                np.matmul(cols, gy.T, out=gw[dz, dy])
+            if strided:
+                gcols = np.matmul(wcols[dz, dy], gy).reshape(kw, in_c, do, ho, wo)
+                for dx in range(kw):
+                    # fixed tap -> injective output-to-voxel map, slice add is safe
+                    grad_xp[:, dz:dz + sd * do:sd, dy:dy + sh * ho:sh,
+                            dx:dx + sw * wo:sw] += gcols[dx]
+        if strided:
+            grad_x[b] = grad_xp[:, pd:pd + d, ph:ph + h, pw:pw + w]
+    grad_w = np.ascontiguousarray(gw.reshape(kd, kh, kw, in_c, out_c).transpose(4, 3, 0, 1, 2))
     grad_b = grad_out.reshape(n, out_c, -1).sum(axis=(0, 2))
     return grad_x, grad_w, grad_b
 
@@ -400,8 +431,11 @@ def _max_passes(x, window, stride, pad, out_sp, record):
     return x, taps
 
 
-def _max_pass_backward(g, tap, axis, k, s, p, n):
+def _max_pass_backward(g, tap, axis, k, s, p, n, grad=None):
     """Adjoint of _max_pass: add each gradient to the voxel of its winning tap.
+
+    The result goes into grad when one is given (it is zeroed first), else
+    into a new array.
 
     A pass that ran as flat shifted runs routes the same way: each tap's
     share g * (tap == t) goes into one buffer, the wrapped slab's share is
@@ -409,7 +443,10 @@ def _max_pass_backward(g, tap, axis, k, s, p, n):
     one flat shifted add moves the buffer onto the gradient.
     """
     shape = g.shape[:axis] + (n,) + g.shape[axis + 1:]
-    grad = np.zeros(shape, dtype=g.dtype)
+    if grad is None:
+        grad = np.zeros(shape, dtype=g.dtype)
+    else:
+        grad[...] = 0
     flat = s == 1 and g.shape[axis] == n
     if flat:
         share = np.empty(shape, dtype=g.dtype)
@@ -460,6 +497,12 @@ def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 
     argmax is the route maxpool3d returned, its input. The three passes run
     again on it, recording each pass's winning tap, and the three 1-D
     adjoints then run in reverse pass order (depth, height, width).
+
+    Pooling never mixes the (batch, channel) planes, so the recompute and
+    the adjoints run over one slab of whole planes at a time, about
+    _POOL_SLAB voxels, and the last adjoint of each slab writes into its
+    planes of the one output array. The tap arrays and the scratch of a
+    pass are therefore one slab's, not the whole input's.
     """
     grad_out = np.asarray(grad_out)
     in_shape = tuple(in_shape)
@@ -468,12 +511,20 @@ def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 
     out_sp, pad = _pool_geometry(in_shape[2:], window, stride, padding)
     _check_frame("maxpool3d_backward: route", np.shape(argmax), in_shape)
     _check_frame("maxpool3d_backward: grad_out", grad_out.shape, in_shape[:2] + out_sp)
-    taps = _max_passes(np.asarray(argmax), window, stride, pad, out_sp, record=True)[1]
-    g = grad_out
-    for axis, tap in zip((2, 3, 4), reversed(taps)):
-        a = axis - 2
-        g = _max_pass_backward(g, tap, axis, window[a], stride[a], pad[a], in_shape[axis])
-    return g
+    planes = (1, in_shape[0] * in_shape[1])  # batch and channel axes as one
+    route = np.asarray(argmax).reshape(planes + in_shape[2:])
+    grad_out = grad_out.reshape(planes + out_sp)
+    grad = np.empty(planes + in_shape[2:], dtype=grad_out.dtype)
+    step = max(1, _POOL_SLAB // math.prod(in_shape[2:]))
+    for lo in range(0, planes[1], step):
+        slab = (slice(None), slice(lo, lo + step))
+        taps = _max_passes(route[slab], window, stride, pad, out_sp, record=True)[1]
+        g = grad_out[slab]
+        for axis, tap in zip((2, 3, 4), reversed(taps)):
+            a = axis - 2
+            g = _max_pass_backward(g, tap, axis, window[a], stride[a], pad[a], in_shape[axis],
+                                   grad[slab] if axis == 4 else None)
+    return grad.reshape(in_shape)
 
 
 def upsample_nearest(x, factor=2):
@@ -530,7 +581,10 @@ def relu(x):
 
 
 def relu_backward(grad_out, x):
-    return grad_out * (x > 0)
+    """grad_out where x > 0, else 0. x is the ReLU input or its bool mask
+    x > 0, which gives the same bits."""
+    x = np.asarray(x)
+    return grad_out * (x if x.dtype == bool else x > 0)
 
 
 def sigmoid(x):
@@ -551,14 +605,16 @@ def sigmoid_backward(grad_out, y):
 def dropout(x, rate, rng):
     """Inverted dropout: zero each voxel with probability rate, scale survivors.
 
-    rng is an integer seed or a numpy Generator. Returns (output, keep mask).
+    rng is an integer seed or a numpy Generator. Returns (output, keep
+    mask), the mask a bool array, 1 byte per voxel: a product with it
+    promotes it to x's dtype, so x * mask gives the bits of a float mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
     x = np.asarray(x)
     if rate == 0.0:
-        return x.copy(), np.ones_like(x)
-    mask = (np.random.default_rng(rng).random(x.shape) >= rate).astype(x.dtype)
+        return x.copy(), np.ones(x.shape, dtype=bool)
+    mask = np.random.default_rng(rng).random(x.shape) >= rate
     return x * mask * (1.0 / (1.0 - rate)), mask
 
 

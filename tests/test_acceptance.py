@@ -365,8 +365,8 @@ RUN_DIGESTS = {
 SUITE_DIGEST = "6d86663cc5d4ec3787b34f96faf02c39162a70dde0d946ce89b48df4b1172f56"
 # (kind, mode) -> SHA-256 of the parameter gradients of one seeded desk TRAIN
 # step (batch 2) and of one INFER forward of a 16-cube tile (batch 1): the
-# U-net and the batch-1 path, which RUN_DIGESTS does not reach. Computed
-# with one BLAS thread; see step_digests.
+# U-net and the batch-1 path, which RUN_DIGESTS does not reach. They hold
+# at one and at two BLAS threads; see step_digests.
 STEP_DIGESTS = {
     ("uception", "f32"): ("230c7793f5db9fbd872ac2a6061f35babc7bc16e3c211a134eae24fc5f977dfa",
                           "663ea4072431f8e02bc2574763411489e0670f05b33de2f5f526eb31d2d5fc3f"),
@@ -374,7 +374,7 @@ STEP_DIGESTS = {
                           "1a7eba7d8bc2fec280fa37fbaa372c4e4d7703f8711fc3afcdc676fe6875a3d2"),
     ("unet3d", "f32"): ("c5cbd6c8545455e49fafb006c6875d34965f7530357afb0c99736e603d3a930a",
                         "912f2e5076b0d0493187e120a74db3f9ee8f437a537e4dfa478ca83bb7d54f2f"),
-    ("unet3d", "f64"): ("c6cf27fa1c082d24ac6924bc833a8e3a82ad27827d88159fa2cf418f32971b79",
+    ("unet3d", "f64"): ("c9f9d9d1de84bec518384d7d2813ec005f1ae3a6a70dfeec0abc31342591f5c1",
                         "44dee7179d88118bb9f3d5a7403cbd070a3636d295a247e480739287123d2cae"),
 }
 
@@ -424,19 +424,28 @@ def _step_digests(kind, mode):
     return train.hexdigest(), hashlib.sha256(forward(model, tile).tobytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def step_digests():
-    """STEP_DIGESTS keys -> digests, computed in a child process with one BLAS
-    thread: the f64 U-net's dec1.conv_a weight gradient moves with the
-    OpenBLAS thread count."""
+def _child_step_digests(threads):
+    """STEP_DIGESTS keys -> digests, computed in a child process whose BLAS
+    runs on the given number of threads."""
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                             str(threads)))
     code = ("import json, test_acceptance as t; "
             "print(json.dumps([t._step_digests(*key) for key in sorted(t.STEP_DIGESTS)]))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=os.path.join(REPO, "tests"), env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return dict(zip(sorted(STEP_DIGESTS), map(tuple, json.loads(proc.stdout.splitlines()[-1]))))
+
+
+@pytest.fixture(scope="module")
+def step_digests():
+    return _child_step_digests(1)
+
+
+def test_step_digests_do_not_depend_on_the_blas_thread_count(step_digests):
+    # f64 steps give the same bits at one and at two BLAS threads
+    assert _child_step_digests(2) == step_digests
 
 
 @pytest.mark.parametrize("kind, mode", sorted(STEP_DIGESTS))

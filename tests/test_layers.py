@@ -113,3 +113,16 @@ def test_only_call_and_back_dispatch_to_a_layer():
                 offenders.append(f"{fname}:{node.lineno} .{node.func.attr}(")
     assert not offenders
     assert seen == allowed
+
+
+def test_train_caches_of_relu_and_dropout_are_bool():
+    # their backwards read only a sign and a keep bit: 1 byte per voxel
+    x = np.random.default_rng(3).standard_normal((2, 2, 4, 4, 4)).astype(np.float32)
+    x[0, 0, 0, 0, :2] = (0.0, -0.0)
+    unit = layers.conv_unit("u", 2, 3, 3, dropout_rate=0.25)
+    layers.init_params(unit, np.random.default_rng(0))
+    _, (_, relu_cache, drop_cache) = unit.forward(x, Context(mode=TRAIN, rng=5))
+    assert relu_cache.dtype == bool and drop_cache.dtype == bool
+    _, mask = layers.ReLU().forward(x, Context(mode=TRAIN))
+    assert mask.dtype == bool and np.array_equal(mask, x > 0)
+    assert layers.ReLU().forward(x, Context())[1] is None  # INFER computes no mask

@@ -161,17 +161,18 @@ def _peak_bytes(fn, *args):
 
 class TestConvScratchMemory:
     """Peak allocation of one float32 conv call at the desk's largest
-    stride-1 shapes (batch 2, 16-cube). The stride-1 kernel keeps one
-    depth-extended row buffer of kw*c*(d+kd-1)*ho*width values per batch
-    item; an im2col matrix of kd*kh*kw*c*d*h*w values would be 7 times
-    (3-cube) to 26 times (7-cube) that size."""
+    stride-1 shapes (batch 2, 16-cube). The batch items run one at a time,
+    so the scratch beyond the output is one item's: its padded input, one
+    depth-extended row buffer of kw*c*(d+kd-1)*ho*width values, the row
+    product and its accumulator. An im2col matrix of kd*kh*kw*c*d*h*w
+    values would be 7 times (3-cube) to 26 times (7-cube) the row buffer."""
 
     MARGIN = 1.10  # measured peak plus 10 %
 
     @pytest.mark.parametrize("in_c, out_c, k, fwd_mb, bwd_mb", [
-        (33, 16, 3, 6.97, 7.49),  # U-net 3D, widest level-0 conv
-        (4, 4, 5, 1.63, 1.63),    # Uception 5-cube branch, level 0
-        (4, 4, 7, 2.48, 2.48),    # Uception 7-cube branch, level 0
+        (33, 16, 3, 4.05, 4.31),  # U-net 3D, widest level-0 conv
+        (4, 4, 5, 0.96, 0.96),    # Uception 5-cube branch, level 0
+        (4, 4, 7, 1.39, 1.39),    # Uception 7-cube branch, level 0
     ])
     def test_peak_stays_near_measured(self, in_c, out_c, k, fwd_mb, bwd_mb):
         g = rng(9)
@@ -262,13 +263,14 @@ class TestPoolScratchMemory:
     """Peak allocation of one float32 pool call at (2, 48, 16-cube), the
     widest Deep Block input at level 0. The forward keeps values only; the
     backward recomputes the passes to record each pass's winning taps
-    (three int8 arrays) before routing the gradient."""
+    (three int8 arrays) before routing the gradient, one slab of planes at
+    a time, so its scratch is one slab's beside the output."""
 
     MARGIN = 1.10  # measured peak plus 10 %
 
     @pytest.mark.parametrize("window, stride, padding, fwd_mb, bwd_mb", [
-        ((3, 3, 3), (1, 1, 1), SAME, 3.25, 6.33),   # Deep Block pooled branch
-        ((2, 2, 2), (2, 2, 2), VALID, 2.36, 3.72),  # Reduction Block, U-net down
+        ((3, 3, 3), (1, 1, 1), SAME, 3.25, 2.67),   # Deep Block pooled branch
+        ((2, 2, 2), (2, 2, 2), VALID, 2.36, 2.13),  # Reduction Block, U-net down
     ])
     def test_peak_stays_near_measured(self, window, stride, padding, fwd_mb, bwd_mb):
         g = rng(9)
@@ -522,6 +524,27 @@ def test_flat_pool_runs_match_per_window_loop(dtype, extents, seed):
     assert gx.tobytes() == gx_ref.reshape(x.shape).tobytes()
 
 
+@pytest.mark.parametrize("window, stride, padding", [
+    ((3, 3, 3), (1, 1, 1), SAME), ((2, 2, 2), (2, 2, 2), VALID)])
+def test_pool_backward_over_a_partial_slab_matches_per_window_loop(window, stride, padding):
+    # 26 planes of 16-cube: the backward runs whole slabs of planes and then
+    # one partial slab, each into its planes of the one output
+    shape = (2, 13, 16, 16, 16)
+    per_slab = ops._POOL_SLAB // (16 ** 3)
+    assert 1 < per_slab < 26 and 26 % per_slab
+    g = rng(41)
+    x = g.choice(POOL_VALUES, size=shape).astype(np.float32)
+    y, route = ops.maxpool3d(x, window, stride, padding)
+    y_ref, winner = _pool_ref(x, window, stride, padding)
+    assert y.tobytes() == y_ref.tobytes()
+    grad = g.integers(-2 ** 12, 2 ** 12, size=y.shape).astype(np.float32)
+    gx = ops.maxpool3d_backward(grad, route, x.shape, window, stride, padding)
+    gx_ref = np.zeros(x.size, dtype=np.float32)
+    np.add.at(gx_ref, winner[winner >= 0], grad[winner >= 0])
+    assert gx.shape == x.shape and gx.flags.c_contiguous
+    assert gx.tobytes() == gx_ref.reshape(x.shape).tobytes()
+
+
 @pytest.mark.parametrize("corner", list(np.ndindex(2, 2, 2, 2, 2)))
 def test_border_gradient_stays_in_its_window(corner):
     # an inf at a border output turns into NaN on the non-winners of its
@@ -616,6 +639,32 @@ def test_conv_matches_per_offset_loop(k, s, padding, n, in_c, out_c, extra, seed
     for got, ref in ((y, y_ref), (gx, gx_ref), (gw, gw_ref), (gb, gb_ref)):
         assert got.shape == ref.shape and got.dtype == np.float64
         assert _rel(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, s", [(1, 1), (3, 1), (5, 1), (3, 2)])
+def test_weight_gradient_adds_items_in_order(k, s, dtype):
+    # the batch items run one at a time; adding their row products in
+    # order must give the bits of one batched product summed over items
+    n, in_c, out_c = 3, 3, 4
+    spec = ConvSpec(in_c, out_c, (k, k, k), (s, s, s))
+    g = rng(43)
+    x = np.maximum(g.standard_normal((n, in_c, 6, 6, 6)), 0.0).astype(dtype)
+    w = g.standard_normal(spec.weight_shape()).astype(dtype)
+    do, ho, wo = out_sp = spec.out_spatial(x.shape[2:])
+    grad = g.standard_normal((n, out_c) + out_sp).astype(dtype)
+    _, gw, _ = ops.conv3d_backward(x, w, grad, spec)
+    width, rows = ops._rows(x, spec.pad, spec.kernel, spec.stride, out_sp)
+    gy = np.zeros((n, out_c, do, ho, width), dtype=dtype)
+    gy[..., :wo] = grad
+    gy = gy.reshape(n, out_c, -1)
+    items = [[(dz, dy, cols.copy()) for dz, dy, cols in rows(b)] for b in range(n)]
+    want = np.empty_like(w)
+    for r, (dz, dy, _) in enumerate(items[0]):
+        cols = np.stack([items[b][r][2] for b in range(n)])
+        prod = np.matmul(cols, gy.transpose(0, 2, 1)).transpose(0, 2, 1).sum(axis=0)
+        want[:, :, dz, dy] = prod.reshape(out_c, k, in_c).transpose(0, 2, 1)
+    assert gw.tobytes() == want.tobytes()
 
 
 PAD_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
