@@ -9,15 +9,9 @@ gradcheck write none. Exit codes: 0 success, 2 config error, 3 I/O error,
 """
 from __future__ import annotations
 
-import os
-
-# honor the optional thread-count override before numpy initializes BLAS
-if "UCEPTION_THREADS" in os.environ:
-    for _k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_k, os.environ["UCEPTION_THREADS"])
-
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import fields

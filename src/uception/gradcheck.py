@@ -6,8 +6,13 @@ backward pass with grad_out = r. Central differences probe every entry of
 small arrays and a seeded sample of large ones. All checks run in the
 64-bit numeric mode.
 
-Every check builds a probe case, (scalar_fn, arrays, analytic) plus
-(cap, h) for the block and model checks, and ``probe_case`` probes it.
+Every layer, block and model check is built by ``_layer_case``: it runs the
+layer the way training does, through ``layers.call`` in TRAIN mode and
+``layers.back`` on that cache, so the checked backward reads the caches
+training keeps (ReLU and dropout masks, the pool route). Only the channel
+concatenation and the soft-Dice loss, which are not layers, build their
+own cases. A case is (scalar_fn, arrays, analytic), plus (cap, h) for the
+layer cases, and ``probe_case`` probes it.
 The relative error metric is |a - f| / max(1e-8, |a| + |f|), reported as
 the maximum over all probed entries.
 """
@@ -19,9 +24,9 @@ import numpy as np
 
 from . import layers, ops
 from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
-from .layers import Context, TRAIN
+from .layers import TRAIN, Context, Conv3d, Dropout, MaxPool3d, ReLU, Sigmoid, UpsampleNearest
 from .metrics import soft_dice, soft_dice_backward
-from .models import UceptionCfg, build_uception, build_unet3d_baseline
+from .models import UceptionCfg, Uception, UNet3d
 from .ops import SAME, VALID, ConvSpec
 
 DEFAULT_TOL = 1e-4
@@ -85,100 +90,17 @@ def probe_case(case, corrupt=False):
     return probe(scalar_fn, arrays, analytic, *steps)
 
 
-def _rand(shape, rng, scale=1.0):
-    return (scale * rng.standard_normal(shape)).astype(np.float64)
-
-
-def _check_conv(kernel, stride, padding, in_c, out_c, ext):
-    rng = np.random.default_rng(11)
-    spec = ConvSpec(in_c, out_c, (kernel,) * 3, (stride,) * 3, padding)
-    x = _rand((1, in_c, ext, ext, ext), rng)
-    w = _rand(spec.weight_shape(), rng, scale=0.5)
-    b = _rand((out_c,), rng, scale=0.1)
-    r = _rand((1, out_c) + spec.out_spatial((ext,) * 3), rng)
-
-    def scalar():
-        return float((ops.conv3d(x, w, b, spec) * r).sum())
-
-    gx, gw, gb = ops.conv3d_backward(x, w, r, spec)
-    return scalar, {"x": x, "w": w, "b": b}, {"x": gx, "w": gw, "b": gb}
-
-
-def _check_maxpool(window, stride, padding):
-    rng = np.random.default_rng(13)
-    x = _rand((1, 2, 4, 4, 4), rng)
-
-    def scalar():
-        y, _ = ops.maxpool3d(x, window, stride, padding)
-        return float((y * r).sum())
-
-    y0, argmax = ops.maxpool3d(x, window, stride, padding)
-    r = _rand(y0.shape, np.random.default_rng(14))
-    gx = ops.maxpool3d_backward(r, argmax, x.shape, window, stride, padding)
-    return scalar, {"x": x}, {"x": gx}
-
-
-def _check_upsample():
-    rng = np.random.default_rng(15)
-    x = _rand((1, 2, 3, 3, 3), rng)
-    r = _rand((1, 2, 6, 6, 6), rng)
-
-    def scalar():
-        return float((ops.upsample_nearest(x, 2) * r).sum())
-
-    gx = ops.upsample_nearest_backward(r, 2)
-    return scalar, {"x": x}, {"x": gx}
-
-
 def _check_concat():
     rng = np.random.default_rng(16)
-    a = _rand((1, 2, 3, 3, 3), rng)
-    b = _rand((1, 3, 3, 3, 3), rng)
-    r = _rand((1, 5, 3, 3, 3), rng)
+    a = rng.standard_normal((1, 2, 3, 3, 3))
+    b = rng.standard_normal((1, 3, 3, 3, 3))
+    r = rng.standard_normal((1, 5, 3, 3, 3))
 
     def scalar():
         return float((ops.concat_channels([a, b]) * r).sum())
 
     ga, gb = ops.concat_channels_backward(r, [2, 3])
     return scalar, {"a": a, "b": b}, {"a": ga, "b": gb}
-
-
-def _check_relu():
-    rng = np.random.default_rng(17)
-    x = _rand((1, 2, 4, 4, 4), rng)
-    # keep probes away from the kink at zero
-    x[np.abs(x) < 1e-2] += 0.05
-    r = _rand(x.shape, rng)
-
-    def scalar():
-        return float((ops.relu(x) * r).sum())
-
-    return scalar, {"x": x}, {"x": ops.relu_backward(r, x)}
-
-
-def _check_sigmoid():
-    rng = np.random.default_rng(18)
-    x = _rand((1, 2, 4, 4, 4), rng)
-    r = _rand(x.shape, rng)
-
-    def scalar():
-        return float((ops.sigmoid(x) * r).sum())
-
-    return scalar, {"x": x}, {"x": ops.sigmoid_backward(r, ops.sigmoid(x))}
-
-
-def _check_dropout():
-    rng = np.random.default_rng(19)
-    x = _rand((1, 2, 4, 4, 4), rng)
-    r = _rand(x.shape, rng)
-    rate = 0.3
-
-    def scalar():
-        y, _ = ops.dropout(x, rate, 123)
-        return float((y * r).sum())
-
-    _, mask = ops.dropout(x, rate, 123)
-    return scalar, {"x": x}, {"x": ops.dropout_backward(r, mask, rate)}
 
 
 def _check_soft_dice(smooth):
@@ -194,84 +116,79 @@ def _check_soft_dice(smooth):
     return scalar, {"p": p}, {"p": soft_dice_backward(p, t, smooth)}
 
 
-def _randomize_biases(params, rng):
+def _layer_case(layer, in_c, ext, seed, cap=160, h=1e-5):
+    """Case for a layer, block or model on a (1, in_c, ext, ext, ext) input.
+
+    He weights, then biases, x and r draw from default_rng(seed); every
+    forward is a TRAIN-mode layers.call that replays one dropout stream,
+    also seeded seed, and the analytic side is one layers.back.
+    """
+    rng = np.random.default_rng(seed)
+    layers.init_params(layer, rng)
+    params = layers.parameters(layer)
     # zero-bias ReLU units sit exactly on the kink wherever their inputs
     # vanish (common after ReLU); move every bias well away from it
     for name, arr in params.items():
         if name.endswith(".b"):
             arr[...] = np.sign(rng.standard_normal(arr.shape)) * rng.uniform(
                 0.05, 0.2, arr.shape)
-
-
-def _graph_check(graph, in_c, ext, rng, cap, h, ctx_seed):
-    """Case for a built block or model: biases, then x, then r draw from
-    rng, and every forward replays one train-mode dropout stream (ctx_seed)."""
-    _randomize_biases(graph.parameters(), rng)
-    x = _rand((1, in_c, ext, ext, ext), rng)
+    x = rng.standard_normal((1, in_c, ext, ext, ext))
 
     def run():
-        ctx = Context(mode=TRAIN, rng=np.random.default_rng(ctx_seed))
-        return layers.call(graph, x, ctx)
+        return layers.call(layer, x, Context(mode=TRAIN, rng=seed))
 
     y0, cache = run()
-    r = _rand(y0.shape, rng)
+    r = rng.standard_normal(y0.shape)
 
     def scalar():
         y, _ = run()
         return float((y * r).sum())
 
     grads = {}
-    gx = layers.back(graph, r, cache, grads)
-    return scalar, {"x": x, **graph.parameters()}, {"x": gx, **grads}, cap, h
+    gx = layers.back(layer, r, cache, grads)
+    return scalar, {"x": x, **params}, {"x": gx, **grads}, cap, h
 
 
-def _check_block(block, ext):
-    rng = np.random.default_rng(21)
-    layers.init_params(block, rng)
-    return _graph_check(block, block.cfg.in_channels, ext, rng, cap=60, h=1e-5, ctx_seed=31)
+def _conv(kernel, stride, padding, in_c, out_c):
+    spec = ConvSpec(in_c, out_c, (kernel,) * 3, (stride,) * 3, padding)
+    return Conv3d("conv", spec, np.float64)
 
 
-def _check_deep_block():
-    cfg = DeepBlockCfg(in_channels=2, branch_depth=2, dropout_rate=0.25)
-    return _check_block(DeepBlock("deep", cfg, dtype=np.float64), 6)
+def _pool(window, stride, padding):
+    return MaxPool3d((window,) * 3, (stride,) * 3, padding)
 
 
-def _check_reduction_block():
-    cfg = ReductionBlockCfg(in_channels=3, branch_depth=2, dropout_rate=0.25)
-    return _check_block(ReductionBlock("red", cfg, dtype=np.float64), 6)
-
-
-def _check_miniature(build):
-    cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25)
-    model = build(cfg, seed=3, dtype=np.float64)
-    # deep stacks shift thousands of downstream pre-activations per probe;
-    # a smaller step keeps every probe on one side of the ReLU kinks
-    return _graph_check(model, cfg.input_channels, 8, np.random.default_rng(42),
-                        cap=24, h=1e-6, ctx_seed=41)
-
+# deep stacks shift thousands of downstream pre-activations per probe; the
+# miniatures take a smaller step, which keeps every probe on one side of the
+# ReLU kinks
+_MINI = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25)
+_DEEP = DeepBlockCfg(in_channels=2, branch_depth=2, dropout_rate=0.25)
+_RED = ReductionBlockCfg(in_channels=3, branch_depth=2, dropout_rate=0.25)
 
 CHECKS = [  # (name, case builder, tolerance), in report order
-    ("relu", _check_relu, DEFAULT_TOL),
-    ("sigmoid", _check_sigmoid, DEFAULT_TOL),
-    ("dropout", _check_dropout, DEFAULT_TOL),
-    ("conv-1cube", lambda: _check_conv(1, 1, SAME, 2, 3, 5), DEFAULT_TOL),
-    ("conv-3cube-same", lambda: _check_conv(3, 1, SAME, 2, 2, 6), DEFAULT_TOL),
-    ("conv-3cube-stride2", lambda: _check_conv(3, 2, SAME, 2, 2, 6), DEFAULT_TOL),
-    ("conv-3cube-valid", lambda: _check_conv(3, 1, VALID, 2, 2, 6), DEFAULT_TOL),
-    ("conv-5cube-same", lambda: _check_conv(5, 1, SAME, 1, 2, 6), DEFAULT_TOL),
-    ("conv-7cube-same", lambda: _check_conv(7, 1, SAME, 1, 1, 8), DEFAULT_TOL),
-    ("maxpool-2cube-stride2", lambda: _check_maxpool((2, 2, 2), (2, 2, 2), VALID),
-     DEFAULT_TOL),
-    ("maxpool-3cube-same", lambda: _check_maxpool((3, 3, 3), (1, 1, 1), SAME),
-     DEFAULT_TOL),
-    ("upsample-nearest", _check_upsample, DEFAULT_TOL),
+    ("relu", lambda: _layer_case(ReLU(), 2, 4, 17), DEFAULT_TOL),
+    ("sigmoid", lambda: _layer_case(Sigmoid(), 2, 4, 18), DEFAULT_TOL),
+    ("dropout", lambda: _layer_case(Dropout(0.3), 2, 4, 19), DEFAULT_TOL),
+    ("conv-1cube", lambda: _layer_case(_conv(1, 1, SAME, 2, 3), 2, 5, 11), DEFAULT_TOL),
+    ("conv-3cube-same", lambda: _layer_case(_conv(3, 1, SAME, 2, 2), 2, 6, 11), DEFAULT_TOL),
+    ("conv-3cube-stride2", lambda: _layer_case(_conv(3, 2, SAME, 2, 2), 2, 6, 11), DEFAULT_TOL),
+    ("conv-3cube-valid", lambda: _layer_case(_conv(3, 1, VALID, 2, 2), 2, 6, 11), DEFAULT_TOL),
+    ("conv-5cube-same", lambda: _layer_case(_conv(5, 1, SAME, 1, 2), 1, 6, 11), DEFAULT_TOL),
+    ("conv-7cube-same", lambda: _layer_case(_conv(7, 1, SAME, 1, 1), 1, 8, 11), DEFAULT_TOL),
+    ("maxpool-2cube-stride2", lambda: _layer_case(_pool(2, 2, VALID), 2, 4, 13), DEFAULT_TOL),
+    ("maxpool-3cube-same", lambda: _layer_case(_pool(3, 1, SAME), 2, 4, 13), DEFAULT_TOL),
+    ("upsample-nearest", lambda: _layer_case(UpsampleNearest(2), 2, 3, 15), DEFAULT_TOL),
     ("concat-channels", _check_concat, DEFAULT_TOL),
     ("soft-dice-smooth0", lambda: _check_soft_dice(0.0), DICE_TOL),
     ("soft-dice-smooth1", lambda: _check_soft_dice(1.0), DICE_TOL),
-    ("deep-block", _check_deep_block, DEFAULT_TOL),
-    ("reduction-block", _check_reduction_block, DEFAULT_TOL),
-    ("uception-miniature", lambda: _check_miniature(build_uception), MODEL_TOL),
-    ("unet3d-miniature", lambda: _check_miniature(build_unet3d_baseline), MODEL_TOL),
+    ("deep-block", lambda: _layer_case(DeepBlock("deep", _DEEP, np.float64), 2, 6, 21, cap=60),
+     DEFAULT_TOL),
+    ("reduction-block",
+     lambda: _layer_case(ReductionBlock("red", _RED, np.float64), 3, 6, 21, cap=60), DEFAULT_TOL),
+    ("uception-miniature",
+     lambda: _layer_case(Uception(_MINI, np.float64), 1, 8, 42, cap=24, h=1e-6), MODEL_TOL),
+    ("unet3d-miniature",
+     lambda: _layer_case(UNet3d(_MINI, dtype=np.float64), 1, 8, 42, cap=24, h=1e-6), MODEL_TOL),
 ]
 
 

@@ -39,8 +39,9 @@ slab's.
 ReLU and dropout backwards read one bit per voxel: relu_backward accepts
 the bool mask x > 0 in place of x, and dropout's keep mask is bool.
 
-All functions are pure: they allocate their outputs and never mutate
-arguments. Dropout takes an explicit seed or Generator.
+All functions are pure: they never mutate arguments, and they allocate
+their outputs, except concat_channels_backward, whose pieces are views of
+its gradient. Dropout takes an explicit seed or Generator.
 """
 from __future__ import annotations
 
@@ -556,17 +557,15 @@ def concat_channels(xs):
                 f"concat_channels: input {i} has frame {x.shape[0], *x.shape[2:]}, "
                 f"expected {head.shape[0], *head.shape[2:]}"
             )
-    if len(xs) == 1:
-        return head.copy()
     return np.concatenate(xs, axis=1)
 
 
 def concat_channels_backward(grad_out, channel_counts):
-    """Slice the gradient back per input, in order."""
+    """Slice the gradient back per input, in order: views of grad_out."""
     grads = []
     start = 0
     for c in channel_counts:
-        grads.append(np.ascontiguousarray(grad_out[:, start:start + c]))
+        grads.append(grad_out[:, start:start + c])
         start += c
     if start != grad_out.shape[1]:
         raise ShapeError(
@@ -588,14 +587,9 @@ def relu_backward(grad_out, x):
 
 
 def sigmoid(x):
-    # evaluate on the negative half-line only, so exp never overflows
-    x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; np.minimum keeps a NaN's sign, unlike -abs
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_backward(grad_out, y):
@@ -612,13 +606,9 @@ def dropout(x, rate, rng):
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
     x = np.asarray(x)
-    if rate == 0.0:
-        return x.copy(), np.ones(x.shape, dtype=bool)
     mask = np.random.default_rng(rng).random(x.shape) >= rate
     return x * mask * (1.0 / (1.0 - rate)), mask
 
 
 def dropout_backward(grad_out, mask, rate):
-    if rate == 0.0:
-        return np.asarray(grad_out).copy()
     return grad_out * mask * (1.0 / (1.0 - rate))

@@ -12,7 +12,7 @@ from uception.blocks import (
     reduction_block,
 )
 from uception.errors import ShapeError
-from uception.gradcheck import _check_deep_block, _check_reduction_block, probe_case
+from uception.gradcheck import _layer_case, probe_case
 from uception.layers import Context
 
 
@@ -52,7 +52,9 @@ class TestDeepBlock:
         assert block.parameters()["blk.c.conv7.w"].shape == (2, 2, 7, 7, 7)
 
     def test_gradient_against_finite_differences(self):
-        assert probe_case(_check_deep_block()) <= 1e-4
+        cfg = DeepBlockCfg(in_channels=2, branch_depth=2, dropout_rate=0.25)
+        block = DeepBlock("deep", cfg, dtype=np.float64)
+        assert probe_case(_layer_case(block, 2, 6, 21, cap=60)) <= 1e-4
 
 
 class TestReductionBlock:
@@ -88,4 +90,6 @@ class TestReductionBlock:
         assert not y[:, 3:].any()
 
     def test_gradient_against_finite_differences(self):
-        assert probe_case(_check_reduction_block()) <= 1e-4
+        cfg = ReductionBlockCfg(in_channels=3, branch_depth=2, dropout_rate=0.25)
+        block = ReductionBlock("red", cfg, dtype=np.float64)
+        assert probe_case(_layer_case(block, 3, 6, 21, cap=60)) <= 1e-4

@@ -1,15 +1,14 @@
 """The gradient-check harness itself: error metric, corruption detection."""
 import pytest
 
-from uception.gradcheck import (
-    CHECKS,
-    _check_conv,
-    format_results,
-    probe_case,
-    rel_error,
-    run_suite,
-)
-from uception.ops import SAME
+from uception import layers
+from uception.gradcheck import CHECKS, format_results, probe_case, rel_error, run_suite
+
+
+def check(name):
+    """(case builder, tolerance) of the named check."""
+    (make, tol), = [(make, tol) for n, make, tol in CHECKS if n == name]
+    return make, tol
 
 
 def test_rel_error_metric():
@@ -20,8 +19,9 @@ def test_rel_error_metric():
 
 
 def test_conv_check_detects_corruption_directly():
-    clean = probe_case(_check_conv(3, 1, SAME, 2, 2, 6))
-    broken = probe_case(_check_conv(3, 1, SAME, 2, 2, 6), corrupt=True)
+    make, _ = check("conv-3cube-same")
+    clean = probe_case(make())
+    broken = probe_case(make(), corrupt=True)
     assert clean <= 1e-4 < broken
 
 
@@ -34,8 +34,25 @@ def test_conv_check_detects_corruption_directly():
     "unet3d-miniature",    # model
 ])
 def test_every_check_family_detects_corruption(name):
-    (make, tol), = [(make, tol) for n, make, tol in CHECKS if n == name]
+    make, tol = check(name)
     assert probe_case(make(), corrupt=True) > tol
+
+
+@pytest.mark.parametrize("name, cls", [
+    ("relu", layers.ReLU),
+    ("sigmoid", layers.Sigmoid),
+    ("dropout", layers.Dropout),
+    ("maxpool-3cube-same", layers.MaxPool3d),
+    ("conv-3cube-same", layers.Conv3d),
+    ("upsample-nearest", layers.UpsampleNearest),
+])
+def test_scaled_layer_backward_fails_its_check(monkeypatch, name, cls):
+    # each check runs its layer's own backward, on the cache training keeps
+    backward = cls.backward
+    monkeypatch.setattr(cls, "backward",
+                        lambda self, g, cache, grads: 1.05 * backward(self, g, cache, grads))
+    make, tol = check(name)
+    assert probe_case(make()) > tol
 
 
 def test_corrupted_backward_reported_as_failing_layer():

@@ -352,6 +352,14 @@ class TestConcat:
         with pytest.raises(ShapeError):
             ops.concat_channels([np.zeros((1, 1, 4, 4, 4)), np.zeros((1, 1, 4, 4, 5))])
 
+    def test_backward_pieces_are_views_of_the_gradient(self):
+        g = rng(17).standard_normal((2, 7, 3, 3, 3))
+        start = 0
+        for c, piece in zip((1, 4, 2), ops.concat_channels_backward(g, [1, 4, 2])):
+            assert np.shares_memory(piece, g)
+            assert piece.tobytes() == g[:, start:start + c].tobytes()
+            start += c
+
 
 class TestActivations:
     def test_sigmoid_at_zero(self):
@@ -361,6 +369,23 @@ class TestActivations:
         y = ops.sigmoid(np.array([[-1e4, 1e4]]))
         assert np.isfinite(y).all()
         assert 0.0 <= y.min() and y.max() <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bytes_match_the_two_half_line_formula(self, dtype):
+        info = np.finfo(dtype)
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.smallest_subnormal,
+                      -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max,
+                      1e-3, -1e-3, 0.5, -0.5, 20.0, -20.0, 100.0, -100.0], dtype=dtype)
+        x = np.concatenate([x, rng(18).standard_normal(64).astype(dtype) * 8])
+        # the earlier formula: each half-line evaluated on its own
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        got = ops.sigmoid(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_relu_backward_masks_nonpositive(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
