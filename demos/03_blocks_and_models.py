@@ -9,29 +9,34 @@ end-to-end shape contract on a small patch.
 import numpy as np
 
 from uception import (
+    Context,
+    DeepBlock,
     DeepBlockCfg,
+    ReductionBlock,
     ReductionBlockCfg,
     UceptionCfg,
     build_unet3d_baseline,
     build_uception,
     forward,
 )
-from uception.blocks import deep_block, reduction_block
+from uception.layers import call, init_params
 
 rng = np.random.default_rng(0)
 
 # Deep Block: four parallel branches (1-cube, 5-cube, 7-cube, pooled),
 # concatenated: 4*D output channels, extents preserved
+deep = init_params(DeepBlock("deep", DeepBlockCfg(in_channels=1, branch_depth=2)), rng)
 x = rng.standard_normal((1, 1, 8, 8, 8)).astype(np.float32)
-y = deep_block(DeepBlockCfg(in_channels=1, branch_depth=2), x, rng=rng)
+y, _ = call(deep, x, Context())
 print("deep block      :", x.shape, "->", y.shape)
 
 # Reduction Block: pooling plus strided convolutions, halved extents,
 # in + 2*D output channels
-y = reduction_block(ReductionBlockCfg(in_channels=4, branch_depth=3),
-                    rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32),
-                    rng=rng)
-print("reduction block :", (1, 4, 16, 16, 16), "->", y.shape)
+red = init_params(ReductionBlock("red", ReductionBlockCfg(in_channels=4, branch_depth=3)),
+                  rng)
+x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
+y, _ = call(red, x, Context())
+print("reduction block :", x.shape, "->", y.shape)
 
 # the full-size network: branch depth 10, three resolution levels
 full = build_uception(UceptionCfg(), seed=0)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import layers, ops
 from .errors import ShapeError
-from .layers import Chain, Context, MaxPool3d, conv_unit
+from .layers import Chain, MaxPool3d, conv_unit
 from .tensor import AXES
 
 
@@ -45,9 +45,6 @@ class _ParallelConcat:
 
     def __init__(self, branches):
         self.branches = branches  # list of (name, layer)
-
-    def parameters(self):
-        return layers.parameters(self)
 
     def forward(self, x, ctx):
         if x.shape[1] != self.cfg.in_channels:
@@ -127,25 +124,4 @@ class ReductionBlock(_ParallelConcat):
         return super().forward(x, ctx)
 
 
-def deep_block(cfg: DeepBlockCfg, x, ctx=None, rng=None, dtype=None):
-    """One-shot functional form: build, He-init and apply a DeepBlock."""
-    return _apply_once(DeepBlock("deep", cfg, dtype=dtype or np.asarray(x).dtype),
-                       x, ctx, rng)
-
-
-def reduction_block(cfg: ReductionBlockCfg, x, ctx=None, rng=None, dtype=None):
-    """One-shot functional form: build, He-init and apply a ReductionBlock."""
-    return _apply_once(
-        ReductionBlock("reduction", cfg, dtype=dtype or np.asarray(x).dtype), x, ctx, rng)
-
-
-def _apply_once(block, x, ctx, rng):
-    layers.init_params(block, np.random.default_rng(0 if rng is None else rng))
-    y, _ = layers.call(block, np.asarray(x), ctx or Context())
-    return y
-
-
-__all__ = [
-    "DeepBlockCfg", "ReductionBlockCfg", "DeepBlock", "ReductionBlock",
-    "deep_block", "reduction_block",
-]
+__all__ = ["DeepBlockCfg", "ReductionBlockCfg", "DeepBlock", "ReductionBlock"]

@@ -29,7 +29,7 @@ from .errors import (
     UceptionError,
 )
 from .gradcheck import format_results, run_suite
-from .metrics import evaluate_masks, soft_dice, summarize_reports
+from .metrics import evaluate_masks, summarize_reports
 from .models import load_checkpoint, save_checkpoint
 from .phantom import PhantomSpec, write_phantom_dataset
 from .preprocess import (
@@ -53,6 +53,7 @@ from .training import (
     snapshot_fallback,
     train_epoch,
     predict_volume,
+    validate,
 )
 from .optim import AdamState, CyclicSchedule, cyclic_lr
 from .volume import Volume, load_metaimage, save_metaimage, volume_to_mask
@@ -180,11 +181,6 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
         with open(log_path, "w", encoding="utf-8") as fh:
             fh.write(_LOG_HEADER)
 
-    def validate_all(m):
-        # the loss validate() reports, without its thresholded report
-        return float(np.mean([-soft_dice(predict_volume(m, img, cfg.patch), mask, 0.0)
-                              for img, mask in val_set]))
-
     for epoch in range(start_epoch, cfg.epochs):
         adam.lr = cyclic_lr(schedule, epoch)
         train_loss = train_epoch(
@@ -192,7 +188,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
             seed=[cfg.seed, epoch], smooth=cfg.smooth, min_fg_frac=cfg.min_fg_frac,
             patches_per_epoch=cfg.patches_per_epoch,
         )
-        val_loss = validate_all(model)
+        val_loss = validate(model, val_set, cfg.patch)
         captured = snapshot_after_epoch(snap, val_loss, model.parameters())
         with open(log_path, "a", encoding="utf-8") as fh:
             fh.write(f"{epoch}\t{adam.lr:.8g}\t{train_loss:.6f}\t{val_loss:.6f}"
@@ -212,7 +208,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
         snap_paths.append(os.path.join(out_dir, f"snapshot_e{epoch:04d}.ucpt"))
         save_checkpoint(model.set_parameters(sp), snap_paths[-1])
     model.set_parameters(snapshot_average(snap))
-    avg_val = validate_all(model)
+    avg_val = validate(model, val_set, cfg.patch)
     save_checkpoint(model, avg_path)
     return {
         "val_history": snap.history,

@@ -177,7 +177,7 @@ CHECKS = [  # (name, case builder, tolerance), in report order
     ("conv-7cube-same", lambda: _layer_case(_conv(7, 1, SAME, 1, 1), 1, 8, 11), DEFAULT_TOL),
     ("maxpool-2cube-stride2", lambda: _layer_case(_pool(2, 2, VALID), 2, 4, 13), DEFAULT_TOL),
     ("maxpool-3cube-same", lambda: _layer_case(_pool(3, 1, SAME), 2, 4, 13), DEFAULT_TOL),
-    ("upsample-nearest", lambda: _layer_case(UpsampleNearest(2), 2, 3, 15), DEFAULT_TOL),
+    ("upsample-nearest", lambda: _layer_case(UpsampleNearest(), 2, 3, 15), DEFAULT_TOL),
     ("concat-channels", _check_concat, DEFAULT_TOL),
     ("soft-dice-smooth0", lambda: _check_soft_dice(0.0), DICE_TOL),
     ("soft-dice-smooth1", lambda: _check_soft_dice(1.0), DICE_TOL),

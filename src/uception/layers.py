@@ -141,14 +141,11 @@ class MaxPool3d:
 
 
 class UpsampleNearest:
-    def __init__(self, factor=2):
-        self.factor = factor
-
     def forward(self, x, ctx):
-        return ops.upsample_nearest(x, self.factor), None
+        return ops.upsample_nearest(x), None
 
     def backward(self, grad_out, cache, grads):
-        return ops.upsample_nearest_backward(grad_out, self.factor)
+        return ops.upsample_nearest_backward(grad_out)
 
 
 class Chain:

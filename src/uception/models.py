@@ -32,7 +32,7 @@ from .errors import CheckpointError, ConfigError, ShapeError
 from .layers import (Chain, Context, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest,
                      back, call, conv_unit)
 from .ops import SAME, ConvSpec
-from .tensor import AXES, as_tensor5
+from .tensor import AXES
 
 CHECKPOINT_MAGIC = b"UCPT"
 CHECKPOINT_VERSION = 1
@@ -368,9 +368,9 @@ def build_unet3d_baseline(cfg: UceptionCfg, seed=0, dtype=np.float32):
 
 
 def forward(model, x, mode="infer", seed=None):
-    """Run a model on a batch; train mode is deterministic given seed."""
-    ctx = Context(mode=mode, rng=seed)
-    y, _ = call(model, as_tensor5(x, dtype=model.dtype), ctx)
+    """Run a model on a batch; train mode is deterministic given seed.
+    The model casts x to its dtype and checks its shape."""
+    y, _ = call(model, x, Context(mode=mode, rng=seed))
     return y
 
 

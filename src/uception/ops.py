@@ -36,8 +36,8 @@ zeroes before its shifted add. The backward works on one slab of whole
 mixes planes, so this is exact, and its tap arrays and scratch stay one
 slab's.
 
-ReLU and dropout backwards read one bit per voxel: relu_backward accepts
-the bool mask x > 0 in place of x, and dropout's keep mask is bool.
+ReLU and dropout backwards read one bit per voxel: relu_backward takes
+the bool mask x > 0, not x, and dropout's keep mask is bool.
 
 All functions are pure: they never mutate arguments, and they allocate
 their outputs, except concat_channels_backward, whose pieces are views of
@@ -491,13 +491,14 @@ def maxpool3d(x, window=(2, 2, 2), stride=(2, 2, 2), padding=VALID):
     return pooled, x
 
 
-def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 2, 2),
+def maxpool3d_backward(grad_out, route, in_shape, window=(2, 2, 2), stride=(2, 2, 2),
                        padding=VALID):
     """Route each output gradient to the voxel that won its window.
 
-    argmax is the route maxpool3d returned, its input. The three passes run
-    again on it, recording each pass's winning tap, and the three 1-D
-    adjoints then run in reverse pass order (depth, height, width).
+    route is what maxpool3d returned beside its output: its input. The
+    three passes run again on it, recording each pass's winning tap, and
+    the three 1-D adjoints then run in reverse pass order (depth, height,
+    width).
 
     Pooling never mixes the (batch, channel) planes, so the recompute and
     the adjoints run over one slab of whole planes at a time, about
@@ -510,10 +511,10 @@ def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 
     if len(in_shape) != 5:
         raise ShapeError(f"maxpool3d_backward: in_shape must be 5-axis, got {in_shape}")
     out_sp, pad = _pool_geometry(in_shape[2:], window, stride, padding)
-    _check_frame("maxpool3d_backward: route", np.shape(argmax), in_shape)
+    _check_frame("maxpool3d_backward: route", np.shape(route), in_shape)
     _check_frame("maxpool3d_backward: grad_out", grad_out.shape, in_shape[:2] + out_sp)
     planes = (1, in_shape[0] * in_shape[1])  # batch and channel axes as one
-    route = np.asarray(argmax).reshape(planes + in_shape[2:])
+    route = np.asarray(route).reshape(planes + in_shape[2:])
     grad_out = grad_out.reshape(planes + out_sp)
     grad = np.empty(planes + in_shape[2:], dtype=grad_out.dtype)
     step = max(1, _POOL_SLAB // math.prod(in_shape[2:]))
@@ -528,21 +529,19 @@ def maxpool3d_backward(grad_out, argmax, in_shape, window=(2, 2, 2), stride=(2, 
     return grad.reshape(in_shape)
 
 
-def upsample_nearest(x, factor=2):
-    """Replicate every voxel over a factor^3 block."""
-    x = np.asarray(x)
-    y = x.repeat(factor, axis=2).repeat(factor, axis=3).repeat(factor, axis=4)
-    return y
+def upsample_nearest(x):
+    """Replicate every voxel over a 2-cube block, doubling each spatial
+    extent (the factor the U skeleton halves by at every level)."""
+    return np.asarray(x).repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
 
 
-def upsample_nearest_backward(grad_out, factor=2):
-    """Adjoint of replication: sum each factor^3 block."""
+def upsample_nearest_backward(grad_out):
+    """Adjoint of replication: sum each 2-cube block."""
     g = np.asarray(grad_out)
     n, c, d, h, w = g.shape
-    if d % factor or h % factor or w % factor:
-        raise ShapeError("upsample backward: grad extents not divisible by factor")
-    g = g.reshape(n, c, d // factor, factor, h // factor, factor, w // factor, factor)
-    return g.sum(axis=(3, 5, 7))
+    if d % 2 or h % 2 or w % 2:
+        raise ShapeError("upsample backward: grad extents must be even")
+    return g.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2).sum(axis=(3, 5, 7))
 
 
 def concat_channels(xs):
@@ -579,11 +578,9 @@ def relu(x):
     return np.maximum(x, 0)
 
 
-def relu_backward(grad_out, x):
-    """grad_out where x > 0, else 0. x is the ReLU input or its bool mask
-    x > 0, which gives the same bits."""
-    x = np.asarray(x)
-    return grad_out * (x if x.dtype == bool else x > 0)
+def relu_backward(grad_out, mask):
+    """grad_out where the bool mask (the ReLU input > 0) is set, else 0."""
+    return grad_out * mask
 
 
 def sigmoid(x):

@@ -11,14 +11,18 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 
+# Adam's moment decay rates and denominator floor. They are constants, so a
+# resumed run needs only the step and the moments the train state stores.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moments plus step count."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -32,8 +36,8 @@ def adam_step(params, grads, state: AdamState):
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         if name not in grads:
             continue
@@ -49,11 +53,11 @@ def adam_step(params, grads, state: AdamState):
             state.m[name] = np.zeros_like(p, dtype=np.float64)
             state.v[name] = np.zeros_like(p, dtype=np.float64)
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g, dtype=np.float64)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g, dtype=np.float64)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p -= (state.lr * update).astype(p.dtype)
     return params, state
 

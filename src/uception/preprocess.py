@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .volume import Volume
 
 
@@ -65,15 +65,15 @@ def trilinear_blend(src, lo, hi, frac):
     return c0 * (1 - fz) + c1 * fz
 
 
-def clip_normalize(volume, clip_percentile=99.9):
-    """Clip the bright tail at the given percentile, then divide by the
+def clip_normalize(volume):
+    """Clip the bright tail at the 99.9th percentile, then divide by the
     post-clip maximum so the output lies in [0, 1] with max exactly 1.
 
     An all-zero volume has no usable scale: it is returned unchanged and
-    an AllZeroVolumeWarning is emitted.
+    an AllZeroVolumeWarning is emitted. Any other volume whose post-clip
+    maximum is not positive (no bright tail to scale by) raises
+    NumericError.
     """
-    if not 0 < clip_percentile <= 100:
-        raise ShapeError(f"clip percentile must be in (0, 100], got {clip_percentile}")
     data = volume.data
     if data.size == 0:
         raise ShapeError("cannot normalize an empty volume")
@@ -81,9 +81,11 @@ def clip_normalize(volume, clip_percentile=99.9):
         warnings.warn("all-zero volume left unnormalized", AllZeroVolumeWarning,
                       stacklevel=2)
         return Volume(data.copy(), volume.spacing)
-    ceiling = np.float32(np.percentile(data, clip_percentile))
-    clipped = np.minimum(data, ceiling)
+    clipped = np.minimum(data, np.float32(np.percentile(data, 99.9)))
     peak = clipped.max()
+    if not peak > 0:
+        raise NumericError(f"cannot normalize a volume whose clipped maximum is {peak}, "
+                           "not positive")
     return Volume(clipped / peak, volume.spacing)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import Context, INFER, TRAIN, back, call
-from .metrics import evaluate_masks, soft_dice, soft_dice_backward
+from .metrics import soft_dice, soft_dice_backward
 from .models import KINDS, Uception, UceptionCfg, format_record, read_record
 from .optim import AdamState, CyclicSchedule, adam_step
 from .preprocess import clip_normalize, crop_to, reassemble, resample_trilinear, tile_patches
@@ -55,7 +55,8 @@ def parse_config(text) -> TrainConfig:
         raise ConfigError(f"model must be one of {sorted(KINDS)}, got {cfg.model!r}")
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {sorted(MODES)}, got {cfg.mode!r}")
-    for key, least in (("batch", 1), ("epochs", 1), ("seed", 0), ("smooth", 0)):
+    for key, least in (("batch", 1), ("epochs", 1), ("seed", 0), ("smooth", 0),
+                       ("lr_min", 0), ("patches_per_epoch", 0), ("min_fg_frac", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     try:  # the model, schedule and snapshot settings carry their own range checks
@@ -80,13 +81,12 @@ def build_model_from_config(cfg: TrainConfig):
 # dataset loading and preprocessing
 
 
-def preprocess_pair(image_vol, truth_vol, target_spacing=(1.0, 1.0, 1.0)):
-    """Resample both to isotropic spacing, then clip+normalize the image.
+def preprocess_pair(image_vol, truth_vol):
+    """Resample both to 1 mm isotropic spacing, then clip+normalize the image.
 
     Returns (image array, boolean truth mask, spacing)."""
-    img = resample_trilinear(image_vol, target_spacing)
-    img = clip_normalize(img)
-    seg = resample_trilinear(truth_vol, target_spacing)
+    img = clip_normalize(resample_trilinear(image_vol))
+    seg = resample_trilinear(truth_vol)
     return img.data, volume_to_mask(seg), img.spacing
 
 
@@ -115,13 +115,14 @@ def load_dataset(data_dir):
 # patch sampling and the epoch loops
 
 
-def sample_patch(rng, image, truth, patch, min_fg_frac=0.0, max_tries=20):
-    """Uniform random patch origin, with optional foreground rejection."""
+def sample_patch(rng, image, truth, patch, min_fg_frac=0.0):
+    """Uniform random patch origin, with optional foreground rejection: up
+    to 20 draws, the first to reach min_fg_frac wins."""
     for ax, ext in enumerate(image.shape):
         if ext < patch:
             raise ShapeError(f"volume extent {ext} on axis {ax} is below patch {patch}")
     best = None
-    for _ in range(max_tries):
+    for _ in range(20):
         origin = tuple(int(rng.integers(0, ext - patch + 1)) for ext in image.shape)
         sl = tuple(slice(o, o + patch) for o in origin)
         frac = float(truth[sl].mean())
@@ -183,14 +184,12 @@ def predict_volume(model, image, patch):
     return check_finite(crop_to(prob, image.shape), "probability volume")
 
 
-def validate(model, image, truth, *, patch=64, spacing=(1.0, 1.0, 1.0),
-             threshold=0.9, smooth=0.0, name=""):
-    """Whole-volume validation: loss is -soft_dice over the reassembled
-    probability volume; the report thresholds it into a hard mask."""
-    prob = predict_volume(model, image, patch)
-    loss = -soft_dice(prob, truth, smooth)
-    report = evaluate_masks(prob >= threshold, truth, spacing, name=name)
-    return loss, report
+def validate(model, val_set, patch):
+    """The validation loss snapshot selection reads: -soft_dice at smooth 0
+    of each whole reassembled probability volume, averaged over val_set's
+    (image, truth mask) pairs. The training loss uses the config's smooth."""
+    return float(np.mean([-soft_dice(predict_volume(model, image, patch), truth, 0.0)
+                          for image, truth in val_set]))
 
 
 # ---------------------------------------------------------------------------

@@ -181,23 +181,18 @@ def _encode(volume, element_type, data_file):
     return header.encode("ascii"), payload
 
 
-def read_metaimage(blob, raw_payload=None):
-    """Parse MetaImage bytes into (Volume, MetaImageHeader).
-
-    ``raw_payload`` supplies the pixel bytes when ElementDataFile names an
-    external file (the .mhd + .raw layout); LOCAL payloads follow the
-    header in ``blob``.
+def read_metaimage(blob):
+    """Parse single-file (LOCAL payload) MetaImage bytes into (Volume,
+    MetaImageHeader). A header naming an external payload file (the .mhd
+    layout) is refused; load_metaimage reads that layout from disk.
     """
     if not isinstance(blob, (bytes, bytearray, memoryview)):
         raise MetaImageError(f"expected bytes, got {type(blob).__name__}")
     fields, payload = _split_header(bytes(blob))
     header = _parse_header(fields)
     if header.ElementDataFile != "LOCAL":
-        if raw_payload is None:
-            raise MetaImageError(
-                f"ElementDataFile = {header.ElementDataFile!r} but no external payload given"
-            )
-        payload = raw_payload
+        raise MetaImageError(f"ElementDataFile = {header.ElementDataFile!r}: read_metaimage "
+                             "takes a LOCAL payload only")
     return _decode(header, payload), header
 
 

@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from uception.blocks import DeepBlockCfg, ReductionBlockCfg, deep_block, reduction_block
+from uception import layers
+from uception.blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
 from uception.cli import main, run_training
 from uception.errors import MetaImageError
 from uception.gradcheck import format_results, run_suite
@@ -97,12 +98,15 @@ def test_criterion_02_shape_architecture_contract():
     range_ok = 0.0 < float(y.min()) and float(y.max()) < 1.0
 
     g = np.random.default_rng(1)
-    red = reduction_block(ReductionBlockCfg(in_channels=4, branch_depth=3),
-                          g.standard_normal((1, 4, 16, 16, 16)).astype(np.float32),
-                          rng=g)
+    red = layers.init_params(
+        ReductionBlock("red", ReductionBlockCfg(in_channels=4, branch_depth=3)), g)
+    red, _ = layers.call(red, g.standard_normal((1, 4, 16, 16, 16)).astype(np.float32),
+                         Context())
     halves_ok = red.shape == (1, 10, 8, 8, 8)
-    deep = deep_block(DeepBlockCfg(in_channels=2, branch_depth=5),
-                      g.standard_normal((1, 2, 8, 8, 8)).astype(np.float32), rng=g)
+    deep = layers.init_params(DeepBlock("deep", DeepBlockCfg(in_channels=2, branch_depth=5)),
+                              g)
+    deep, _ = layers.call(deep, g.standard_normal((1, 2, 8, 8, 8)).astype(np.float32),
+                          Context())
     deep_ok = deep.shape == (1, 20, 8, 8, 8)
     report(2, shape_ok and range_ok and halves_ok and deep_ok,
            f"(1,1,64,64,64)->{y.shape} in ({y.min():.3f},{y.max():.3f}); "

@@ -3,14 +3,8 @@ zero-weight annihilation, gradient checks."""
 import numpy as np
 import pytest
 
-from uception.blocks import (
-    DeepBlock,
-    DeepBlockCfg,
-    ReductionBlock,
-    ReductionBlockCfg,
-    deep_block,
-    reduction_block,
-)
+from uception import layers
+from uception.blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
 from uception.errors import ShapeError
 from uception.gradcheck import _layer_case, probe_case
 from uception.layers import Context
@@ -20,11 +14,17 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def apply(block, x, seed):
+    """He-initialize block from seed, then one INFER call on x."""
+    layers.init_params(block, rng(seed))
+    return layers.call(block, x, Context())[0]
+
+
 class TestDeepBlock:
     def test_channel_algebra_and_extent_preserved(self):
         cfg = DeepBlockCfg(in_channels=1, branch_depth=2)
         x = rng(1).standard_normal((1, 1, 8, 8, 8))
-        y = deep_block(cfg, x, rng=rng(2))
+        y = apply(DeepBlock("deep", cfg, dtype=x.dtype), x, 2)
         assert y.shape == (1, 8, 8, 8, 8)  # 4 * D channels
 
     def test_all_zero_weights_annihilate(self):
@@ -41,15 +41,15 @@ class TestDeepBlock:
 
     def test_branch_structure_parameter_names(self):
         block = DeepBlock("blk", DeepBlockCfg(in_channels=2, branch_depth=2))
-        names = set(block.parameters())
+        names = set(layers.parameters(block))
         assert names == {
             "blk.a.conv1.w", "blk.a.conv1.b",
             "blk.b.conv1.w", "blk.b.conv1.b", "blk.b.conv5.w", "blk.b.conv5.b",
             "blk.c.conv1.w", "blk.c.conv1.b", "blk.c.conv7.w", "blk.c.conv7.b",
             "blk.d.conv1.w", "blk.d.conv1.b",
         }
-        assert block.parameters()["blk.b.conv5.w"].shape == (2, 2, 5, 5, 5)
-        assert block.parameters()["blk.c.conv7.w"].shape == (2, 2, 7, 7, 7)
+        assert layers.parameters(block)["blk.b.conv5.w"].shape == (2, 2, 5, 5, 5)
+        assert layers.parameters(block)["blk.c.conv7.w"].shape == (2, 2, 7, 7, 7)
 
     def test_gradient_against_finite_differences(self):
         cfg = DeepBlockCfg(in_channels=2, branch_depth=2, dropout_rate=0.25)
@@ -61,7 +61,7 @@ class TestReductionBlock:
     def test_channel_algebra_and_halved_extents(self):
         cfg = ReductionBlockCfg(in_channels=4, branch_depth=3)
         x = rng(4).standard_normal((1, 4, 16, 16, 16))
-        y = reduction_block(cfg, x, rng=rng(5))
+        y = apply(ReductionBlock("reduction", cfg, dtype=x.dtype), x, 5)
         assert y.shape == (1, 10, 8, 8, 8)  # in + 2 * D channels
 
     def test_three_reductions_reach_bottleneck(self):
@@ -69,7 +69,7 @@ class TestReductionBlock:
         ch = 2
         for lv in range(3):
             cfg = ReductionBlockCfg(in_channels=ch, branch_depth=1)
-            x = reduction_block(cfg, x, rng=rng(7))
+            x = apply(ReductionBlock("reduction", cfg), x, 7)
             ch = cfg.out_channels
         assert x.shape[2:] == (8, 8, 8)
 

@@ -9,6 +9,7 @@ from uception import cli
 from uception.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     build_parser,
     main,
@@ -269,6 +270,17 @@ class TestSegmentCommand:
         mask, _ = load_metaimage(str(out))
         assert not mask.data.any()
 
+    def test_volume_without_positive_peak_exits_numeric(self, tmp_path, capsys):
+        ckpt = self.make_checkpoint(tmp_path)
+        vol_path = tmp_path / "neg.mha"
+        save_metaimage(Volume(-np.ones((8, 8, 8)), (1, 1, 1)), str(vol_path))
+        out = tmp_path / "mask.mha"
+        code = main(["segment", "--checkpoint", ckpt, "--volume", str(vol_path),
+                     "--out-mask", str(out), "--patch", "8"])
+        assert code == EXIT_NUMERIC
+        assert "not positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", [
         lambda blob: blob.replace(b"levels = 1", b"levels = 0", 1),
         lambda blob: blob[:-4] + struct.pack("<f", np.inf),  # last value of head.conv.b
@@ -371,6 +383,14 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "baseline" in out
         assert out.count("Avg. Hausdorff Dist.[mm]") == 2
+
+    def test_image_without_positive_peak_exits_numeric(self, tmp_path, capsys):
+        m = self.write_mask(tmp_path, "m.mha", np.ones((4, 4, 4), bool))
+        img = tmp_path / "img.mha"
+        save_metaimage(Volume(-np.arange(1.0, 65.0).reshape(4, 4, 4), (1, 1, 1)), str(img))
+        assert main(["evaluate", "--pred", m, "--truth", m,
+                     "--image", str(img)]) == EXIT_NUMERIC
+        assert "not positive" in capsys.readouterr().err
 
     def test_report_text_pinned(self, tmp_path, capsys):
         # two volumes, one anisotropic, with model and baseline rows; the

@@ -122,7 +122,7 @@ class TestUception:
         for i, deep in enumerate(model.dec_deep):
             lv = cfg.levels - 1 - i
             up_ch = deep.cfg.in_channels - model.skip_channels[lv]
-            for name, arr in deep.parameters().items():
+            for name, arr in layers.parameters(deep).items():
                 if name.endswith("conv1.w") and arr.shape[1] == deep.cfg.in_channels:
                     arr[:, :up_ch] = 0.0
         x = np.random.default_rng(5).standard_normal((1, 1, 8, 8, 8))
@@ -130,6 +130,27 @@ class TestUception:
         grads = {}
         gx = model.backward(np.ones_like(y), cache, grads)
         assert np.abs(gx).max() > 0.0
+
+
+def _strided_inputs():
+    """Non-C-contiguous (1, 1, 8, 8, 8) f32 inputs: a strided slice of a
+    larger array, two swapped axes and a Fortran-ordered copy."""
+    g = np.random.default_rng(4)
+    big = g.standard_normal((2, 1, 16, 16, 16)).astype(np.float32)
+    x = g.standard_normal((1, 1, 8, 8, 8)).astype(np.float32)
+    return {"slice": big[1:, :, ::2, 1::2, ::2], "swapped": np.swapaxes(x, 2, 4),
+            "fortran": np.asfortranarray(x)}
+
+
+@pytest.mark.parametrize("build", [build_uception, build_unet3d_baseline])
+@pytest.mark.parametrize("mode", ["infer", "train"])
+def test_forward_of_a_strided_input_matches_its_contiguous_copy(build, mode):
+    model = build(UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25), seed=3)
+    for name, x in _strided_inputs().items():
+        assert not x.flags.c_contiguous, name
+        got = forward(model, x, mode=mode, seed=5)
+        want = forward(model, np.ascontiguousarray(x), mode=mode, seed=5)
+        assert got.tobytes() == want.tobytes(), name
 
 
 class TestStepMemory:

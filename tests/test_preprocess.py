@@ -1,9 +1,11 @@
 """Resampling, intensity conditioning, tiling and the threshold baseline."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uception.errors import ShapeError
+from uception.errors import NumericError, ShapeError
 from uception.preprocess import (
     AllZeroVolumeWarning,
     clip_normalize,
@@ -79,7 +81,7 @@ class TestClipNormalize:
 
     def test_percentile_clip_against_sort_oracle(self):
         data = np.arange(1000, dtype=np.float32).reshape(10, 10, 10)
-        out = clip_normalize(vol(data), clip_percentile=99.9)
+        out = clip_normalize(vol(data))
         # sort-based oracle: linear-interpolated 99.9th percentile
         flat = np.sort(data.reshape(-1))
         pos = 99.9 / 100 * (flat.size - 1)
@@ -94,6 +96,16 @@ class TestClipNormalize:
         with pytest.warns(AllZeroVolumeWarning):
             out = clip_normalize(vol(np.zeros((2, 2, 2))))
         assert not out.data.any()
+
+    @pytest.mark.parametrize("data", [
+        np.array([-1.0, -2.0, 0.0, 0.0, -1.0, 0.0, -2.0, 0.0]),  # peak 0: was -inf/NaN
+        -np.arange(1.0, 9.0),  # all negative: was 1.0 ... 7.94, outside [0, 1]
+    ])
+    def test_no_positive_peak_is_numeric_error(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning on the way
+            with pytest.raises(NumericError, match="not positive"):
+                clip_normalize(vol(data.reshape(2, 2, 2)))
 
 
 class TestTiling:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uception.errors import CheckpointError, ConfigError, DataError
-from uception.metrics import soft_dice
+from uception.metrics import evaluate_masks, soft_dice
 from uception.models import UceptionCfg, build_uception
 from uception.optim import AdamState
 from uception.phantom import PhantomSpec, generate_phantom
@@ -150,7 +150,7 @@ class TestValidate:
         g = np.random.default_rng(3)
         image = g.random((16, 16, 16)).astype(np.float32)
         truth = g.random((16, 16, 16)) < 0.02
-        loss, report = validate(model, image, truth, patch=8)
+        loss = validate(model, [(image, truth)], patch=8)
         n = image.size
         t = truth.sum()
         expect = -(2 * 0.5 * t) / (0.5 * n + t)
@@ -166,18 +166,31 @@ class TestValidate:
             def forward(self, x, ctx):
                 return x.copy(), None
 
-        loss, report = validate(Oracle(), truth.astype(np.float64), truth, patch=8)
+        image = truth.astype(np.float64)
+        loss = validate(Oracle(), [(image, truth)], patch=8)
         assert loss == -1.0
+        report = evaluate_masks(predict_volume(Oracle(), image, 8) >= 0.9, truth)
         assert report.dice == 1.0 and report.sensitivity == 1.0
         assert report.avg_hausdorff_mm == 0.0
 
     def test_all_background_truth_validates(self):
         model = build_uception(UceptionCfg(base_depth=1, levels=1), seed=0)
         image = np.random.default_rng(6).random((16, 16, 16)).astype(np.float32)
-        loss, report = validate(model, image, np.zeros((16, 16, 16)), patch=8)
+        truth = np.zeros((16, 16, 16))
+        loss = validate(model, [(image, truth)], patch=8)
         assert np.isfinite(loss)
+        report = evaluate_masks(predict_volume(model, image, 8) >= 0.9, truth)
         assert report.dice in (0.0, 1.0)
         assert np.isnan(report.sensitivity)
+
+    def test_loss_is_the_mean_over_the_set(self):
+        model = build_uception(UceptionCfg(base_depth=1, levels=1), seed=0)
+        g = np.random.default_rng(7)
+        pairs = [(g.random((16, 16, 16)).astype(np.float32), g.random((16, 16, 16)) < 0.05)
+                 for _ in range(2)]
+        each = [validate(model, [pair], patch=8) for pair in pairs]
+        assert each[0] != each[1]
+        assert validate(model, pairs, patch=8) == np.mean(each)
 
     def test_reassembled_shape_matches_input(self):
         model = build_uception(UceptionCfg(base_depth=1, levels=1), seed=0)
@@ -223,6 +236,8 @@ class TestConfig:
         "smooth = -0.5", "mode = f16", "seed = -1", "epochs = 0",
         "lr_max = nan", "lr_min = nan", "smooth = nan", "min_fg_frac = nan",
         "lr_max = inf", "smooth = inf",
+        "lr_min = -0.01", "lr_min = -2\nlr_max = -1", "patches_per_epoch = -3",
+        "min_fg_frac = -1",
     ])
     def test_out_of_range_settings_are_config_errors(self, text):
         """The message starts with the config key, not a dataclass field name."""
