@@ -11,13 +11,10 @@ import numpy as np
 from uception import (
     Context,
     DeepBlock,
-    DeepBlockCfg,
     ReductionBlock,
-    ReductionBlockCfg,
     UceptionCfg,
     build_unet3d_baseline,
     build_uception,
-    forward,
 )
 from uception.layers import call, init_params
 
@@ -25,15 +22,14 @@ rng = np.random.default_rng(0)
 
 # Deep Block: four parallel branches (1-cube, 5-cube, 7-cube, pooled),
 # concatenated: 4*D output channels, extents preserved
-deep = init_params(DeepBlock("deep", DeepBlockCfg(in_channels=1, branch_depth=2)), rng)
+deep = init_params(DeepBlock("deep", in_channels=1, branch_depth=2), rng)
 x = rng.standard_normal((1, 1, 8, 8, 8)).astype(np.float32)
 y, _ = call(deep, x, Context())
 print("deep block      :", x.shape, "->", y.shape)
 
 # Reduction Block: pooling plus strided convolutions, halved extents,
 # in + 2*D output channels
-red = init_params(ReductionBlock("red", ReductionBlockCfg(in_channels=4, branch_depth=3)),
-                  rng)
+red = init_params(ReductionBlock("red", in_channels=4, branch_depth=3), rng)
 x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
 y, _ = call(red, x, Context())
 print("reduction block :", x.shape, "->", y.shape)
@@ -51,6 +47,6 @@ print(f"U-net baseline      : {unet.parameter_count():,} parameters "
 # shape contract on a desk-size configuration: probabilities in (0, 1),
 # extents preserved end to end
 small = build_uception(UceptionCfg(base_depth=2, levels=2, dropout_rate=0.1), seed=1)
-probs = forward(small, rng.standard_normal((1, 1, 16, 16, 16)))
+probs, _ = call(small, rng.standard_normal((1, 1, 16, 16, 16)), Context())
 print(f"forward (1,1,16,16,16) -> {probs.shape}, "
       f"range ({probs.min():.3f}, {probs.max():.3f})")

@@ -9,7 +9,7 @@ reader/writer.
 
 __version__ = "0.1.0"
 
-from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
+from .blocks import DeepBlock, ReductionBlock
 from .layers import Context, INFER, TRAIN
 from .metrics import (
     SegReport,
@@ -26,7 +26,6 @@ from .models import (
     Uception,
     build_uception,
     build_unet3d_baseline,
-    forward,
     load_checkpoint,
     save_checkpoint,
 )
@@ -61,13 +60,12 @@ from .volume import (
 
 __all__ = [
     "__version__",
-    "AdamState", "Context", "ConvSpec", "CyclicSchedule", "DeepBlock",
-    "DeepBlockCfg", "INFER", "MetaImageHeader", "PhantomSpec", "ReductionBlock",
-    "ReductionBlockCfg", "SegReport", "SnapshotSet", "TRAIN", "TrainConfig",
-    "UNet3d", "Uception", "UceptionCfg", "Volume",
+    "AdamState", "Context", "ConvSpec", "CyclicSchedule", "DeepBlock", "INFER",
+    "MetaImageHeader", "PhantomSpec", "ReductionBlock", "SegReport", "SnapshotSet",
+    "TRAIN", "TrainConfig", "UNet3d", "Uception", "UceptionCfg", "Volume",
     "adam_step", "average_hausdorff", "build_uception", "build_unet3d_baseline",
     "clip_normalize", "concat_channels", "conv3d", "conv3d_backward", "cyclic_lr",
-    "dropout", "evaluate_masks", "forward", "generate_phantom", "hard_dice",
+    "dropout", "evaluate_masks", "generate_phantom", "hard_dice",
     "load_checkpoint", "load_metaimage", "maxpool3d", "parse_config", "reassemble",
     "read_metaimage", "relu", "resample_trilinear", "save_checkpoint",
     "save_metaimage", "sensitivity", "sigmoid", "snapshot_average",

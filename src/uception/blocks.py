@@ -2,57 +2,27 @@
 
 DeepBlock keeps spatial extents and widens channels through four parallel
 branches; ReductionBlock halves every spatial extent through three. Both
-concatenate their branches on the channel axis.
+concatenate their branches on the channel axis. A block checks nothing
+itself: a wrong channel count fails in the first branch conv, and an odd
+extent in the ReductionBlock's 2-cube pool, each with a ShapeError that
+names the axis.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers, ops
-from .errors import ShapeError
 from .layers import Chain, MaxPool3d, conv_unit
-from .tensor import AXES
-
-
-@dataclass(frozen=True)
-class DeepBlockCfg:
-    in_channels: int
-    branch_depth: int
-    dropout_rate: float = 0.0
-
-    @property
-    def out_channels(self):
-        return 4 * self.branch_depth
-
-
-@dataclass(frozen=True)
-class ReductionBlockCfg:
-    in_channels: int
-    branch_depth: int
-    dropout_rate: float = 0.0
-
-    @property
-    def out_channels(self):
-        # pool branch carries the input channels through unchanged
-        return self.in_channels + 2 * self.branch_depth
 
 
 class _ParallelConcat:
-    """Shared machinery: run branches on one input, concat on channels.
-    Subclasses set ``name`` and a ``cfg`` with ``in_channels``."""
+    """Shared machinery: run branches on one input, concat on channels."""
 
-    def __init__(self, branches):
+    def __init__(self, out_channels, branches):
+        self.out_channels = out_channels
         self.branches = branches  # list of (name, layer)
 
     def forward(self, x, ctx):
-        if x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"{self.name}: input has {x.shape[1]} channels, "
-                f"block expects {self.cfg.in_channels}",
-                axis="channel",
-            )
         outs, caches, widths = [], [], []
         for _, branch in self.branches:
             y, cache = layers.call(branch, x, ctx)
@@ -73,13 +43,13 @@ class _ParallelConcat:
 
 class DeepBlock(_ParallelConcat):
     """Four extent-preserving branches: 1-cube, 5-cube and 7-cube convolution
-    paths (each behind a 1-cube bottleneck) plus a pooled 1-cube path."""
+    paths (each behind a 1-cube bottleneck) plus a pooled 1-cube path;
+    4 * branch_depth output channels."""
 
-    def __init__(self, name, cfg: DeepBlockCfg, dtype=np.float32):
-        self.name = name
-        self.cfg = cfg
-        c, d, r = cfg.in_channels, cfg.branch_depth, cfg.dropout_rate
-        super().__init__([
+    def __init__(self, name, in_channels, branch_depth, dropout_rate=0.0,
+                 dtype=np.float32):
+        c, d, r = in_channels, branch_depth, dropout_rate
+        super().__init__(4 * d, [
             ("a", conv_unit(f"{name}.a.conv1", c, d, 1, dropout_rate=r, dtype=dtype)),
             ("b", Chain([
                 conv_unit(f"{name}.b.conv1", c, d, 1, dropout_rate=r, dtype=dtype),
@@ -98,14 +68,15 @@ class DeepBlock(_ParallelConcat):
 
 class ReductionBlock(_ParallelConcat):
     """Three extent-halving branches: 2-cube max-pool, strided 3-cube
-    convolution, and a 1-cube bottleneck into a strided 3-cube convolution."""
+    convolution, and a 1-cube bottleneck into a strided 3-cube convolution;
+    the pool carries the input channels through, so in_channels +
+    2 * branch_depth output channels."""
 
-    def __init__(self, name, cfg: ReductionBlockCfg, dtype=np.float32):
-        self.name = name
-        self.cfg = cfg
-        c, d, r = cfg.in_channels, cfg.branch_depth, cfg.dropout_rate
-        super().__init__([
-            ("a", Chain([MaxPool3d(window=(2, 2, 2), stride=(2, 2, 2))])),
+    def __init__(self, name, in_channels, branch_depth, dropout_rate=0.0,
+                 dtype=np.float32):
+        c, d, r = in_channels, branch_depth, dropout_rate
+        super().__init__(c + 2 * d, [
+            ("a", MaxPool3d(window=(2, 2, 2), stride=(2, 2, 2))),
             ("b", conv_unit(f"{name}.b.conv3", c, d, 3, stride=2, dropout_rate=r, dtype=dtype)),
             ("c", Chain([
                 conv_unit(f"{name}.c.conv1", c, d, 1, dropout_rate=r, dtype=dtype),
@@ -113,15 +84,5 @@ class ReductionBlock(_ParallelConcat):
             ])),
         ])
 
-    def forward(self, x, ctx):
-        for ax, ext in zip(AXES[2:], x.shape[2:]):
-            if ext % 2:
-                raise ShapeError(
-                    f"{self.name}: spatial extent {ext} on axis {ax!r} is odd; "
-                    "reduction needs even extents",
-                    axis=ax,
-                )
-        return super().forward(x, ctx)
 
-
-__all__ = ["DeepBlockCfg", "ReductionBlockCfg", "DeepBlock", "ReductionBlock"]
+__all__ = ["DeepBlock", "ReductionBlock"]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers, ops
-from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
+from .blocks import DeepBlock, ReductionBlock
 from .layers import TRAIN, Context, Conv3d, Dropout, MaxPool3d, ReLU, Sigmoid, UpsampleNearest
 from .metrics import soft_dice, soft_dice_backward
 from .models import UceptionCfg, Uception, UNet3d
@@ -162,8 +162,6 @@ def _pool(window, stride, padding):
 # miniatures take a smaller step, which keeps every probe on one side of the
 # ReLU kinks
 _MINI = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25)
-_DEEP = DeepBlockCfg(in_channels=2, branch_depth=2, dropout_rate=0.25)
-_RED = ReductionBlockCfg(in_channels=3, branch_depth=2, dropout_rate=0.25)
 
 CHECKS = [  # (name, case builder, tolerance), in report order
     ("relu", lambda: _layer_case(ReLU(), 2, 4, 17), DEFAULT_TOL),
@@ -181,10 +179,12 @@ CHECKS = [  # (name, case builder, tolerance), in report order
     ("concat-channels", _check_concat, DEFAULT_TOL),
     ("soft-dice-smooth0", lambda: _check_soft_dice(0.0), DICE_TOL),
     ("soft-dice-smooth1", lambda: _check_soft_dice(1.0), DICE_TOL),
-    ("deep-block", lambda: _layer_case(DeepBlock("deep", _DEEP, np.float64), 2, 6, 21, cap=60),
+    ("deep-block",
+     lambda: _layer_case(DeepBlock("deep", 2, 2, 0.25, np.float64), 2, 6, 21, cap=60),
      DEFAULT_TOL),
     ("reduction-block",
-     lambda: _layer_case(ReductionBlock("red", _RED, np.float64), 3, 6, 21, cap=60), DEFAULT_TOL),
+     lambda: _layer_case(ReductionBlock("red", 3, 2, 0.25, np.float64), 3, 6, 21, cap=60),
+     DEFAULT_TOL),
     ("uception-miniature",
      lambda: _layer_case(Uception(_MINI, np.float64), 1, 8, 42, cap=24, h=1e-6), MODEL_TOL),
     ("unet3d-miniature",

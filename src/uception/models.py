@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
-from .blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
+from .blocks import DeepBlock, ReductionBlock
 from .errors import CheckpointError, ConfigError, ShapeError
-from .layers import (Chain, Context, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest,
-                     back, call, conv_unit)
+from .layers import Chain, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest, back, call, conv_unit
 from .ops import SAME, ConvSpec
 from .tensor import AXES
 
@@ -124,36 +123,50 @@ class _ModelBase:
     """The U-net skeleton both models share, plus naming, init, parameter
     access and the input checks.
 
-    A subclass constructor builds the parts and registers each stage: an
-    optional ``stem`` (identity otherwise), per encoder level a
-    ``(deep, down)`` pair in ``enc`` whose deep output is that level's skip,
-    a ``bottleneck``, the decoder stages ``dec_deep`` (deepest level first),
-    each reading the upsampled features concatenated with its level's skip,
-    and the 1-cube ``head`` conv. ``forward`` and ``backward`` walk them
-    through ``layers.call`` and ``layers.back``, which look every stage's
-    method up at call time.
+    The constructor builds the skeleton from three parts a subclass
+    supplies. ``stem`` is a (stage name, layer, output channels) triple, or
+    None for an identity stem. ``deep(name, ch, lv)`` and
+    ``down(name, ch, lv)`` build the stage at level ``lv`` on ``ch`` input
+    channels and return the same kind of triple; ``name`` is the stage's
+    place ("enc0", "bottleneck", "dec0"). A stage named None owns no
+    parameters and is not listed in ``_stages``. The skeleton is the stem,
+    per encoder level a ``(deep, down)`` pair in ``enc`` whose deep output
+    is that level's skip, the deep ``bottleneck`` at level ``levels``, the
+    decoder stages ``dec_deep`` (deepest level first), each reading the
+    upsampled features concatenated with its level's skip, and the 1-cube
+    ``head`` conv. ``forward`` and ``backward`` walk them through
+    ``layers.call`` and ``layers.back``, which look every stage's method up
+    at call time.
     """
 
     record_fields = {}  # constructor arguments the UCPT record stores, with types
 
-    def __init__(self, cfg, dtype):
+    def __init__(self, cfg, dtype, stem, deep, down):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self._stages = []  # ordered (name, layer) pairs, encoder to head
-        self.stem = Chain([])
-        self.enc = []
-        self.skip_channels = []
+
+        def stage(name, layer, ch):
+            if name is not None:
+                self._stages.append((name, layer))
+            return layer, ch
+
+        self.stem, ch = stage(*stem) if stem else (Chain([]), cfg.input_channels)
+        self.enc, skips = [], []
+        for lv in range(cfg.levels):
+            block, ch = stage(*deep(f"enc{lv}", ch, lv))
+            skips.append(ch)
+            pool, ch = stage(*down(f"enc{lv}", ch, lv))
+            self.enc.append((block, pool))
+        self.bottleneck, ch = stage(*deep("bottleneck", ch, cfg.levels))
         self.dec_deep = []
+        for lv in reversed(range(cfg.levels)):
+            block, ch = stage(*deep(f"dec{lv}", ch + skips[lv], lv))
+            self.dec_deep.append(block)
+        spec = ConvSpec(ch, cfg.output_channels, (1, 1, 1), (1, 1, 1), SAME)
+        self.head, _ = stage("head", Conv3d("head.conv", spec, dtype=self.dtype), None)
         self.up = UpsampleNearest()
         self.out_sigmoid = Sigmoid()
-
-    def _register(self, name, layer):
-        self._stages.append((name, layer))
-        return layer
-
-    def _add_head(self, ch):
-        spec = ConvSpec(ch, self.cfg.output_channels, (1, 1, 1), (1, 1, 1), SAME)
-        self.head = self._register("head", Conv3d("head.conv", spec, dtype=self.dtype))
 
     def init_params(self, seed):
         return layers.init_params(self, np.random.default_rng(seed))
@@ -257,31 +270,18 @@ class Uception(_ModelBase):
     conv_geometry = staticmethod(_uception_conv_geometry)
 
     def __init__(self, cfg: UceptionCfg, dtype=np.float32):
-        super().__init__(cfg, dtype)
         d, r = cfg.base_depth, cfg.dropout_rate
 
-        def deep(name, ch, lv):
-            return self._register(
-                name, DeepBlock(name, DeepBlockCfg(ch, d * 2 ** lv, r), dtype=dtype))
+        def stage(cls, suffix):
+            def build(name, ch, lv):
+                name = f"{name}.{suffix}"
+                block = cls(name, ch, d * 2 ** lv, r, dtype)
+                return name, block, block.out_channels
+            return build
 
-        self.stem = self._register(
-            "stem", conv_unit("stem.conv", cfg.input_channels, d, 3,
-                              dropout_rate=r, dtype=dtype))
-        ch = d
-        for lv in range(cfg.levels):
-            block = deep(f"enc{lv}.deep", ch, lv)
-            ch = block.cfg.out_channels
-            self.skip_channels.append(ch)
-            red = self._register(f"enc{lv}.red", ReductionBlock(
-                f"enc{lv}.red", ReductionBlockCfg(ch, d * 2 ** lv, r), dtype=dtype))
-            self.enc.append((block, red))
-            ch = red.cfg.out_channels
-        self.bottleneck = deep("bottleneck.deep", ch, cfg.levels)
-        ch = self.bottleneck.cfg.out_channels
-        for lv in reversed(range(cfg.levels)):
-            self.dec_deep.append(deep(f"dec{lv}.deep", ch + self.skip_channels[lv], lv))
-            ch = self.dec_deep[-1].cfg.out_channels
-        self._add_head(ch)
+        stem = conv_unit("stem.conv", cfg.input_channels, d, 3, dropout_rate=r, dtype=dtype)
+        super().__init__(cfg, dtype, ("stem", stem, d),
+                         stage(DeepBlock, "deep"), stage(ReductionBlock, "red"))
 
 
 class UNet3d(_ModelBase):
@@ -295,7 +295,6 @@ class UNet3d(_ModelBase):
 
     def __init__(self, cfg: UceptionCfg, width=None, bottleneck_width=None,
                  dtype=np.float32):
-        super().__init__(cfg, dtype)
         if width is None:
             width, bottleneck_width = match_unet_widths(
                 cfg, _conv_param_count(_uception_conv_geometry(cfg)))
@@ -303,25 +302,15 @@ class UNet3d(_ModelBase):
         self.bottleneck_width = int(bottleneck_width)
         r = cfg.dropout_rate
 
-        def pair(name, ch, w):
-            return self._register(name, Chain([
+        def pair(name, ch, lv):
+            w = self.bottleneck_width if lv == cfg.levels else self.width * 2 ** lv
+            return name, Chain([
                 conv_unit(f"{name}.conv_a", ch, w, 3, dropout_rate=r, dtype=dtype),
                 conv_unit(f"{name}.conv_b", w, w, 3, dropout_rate=r, dtype=dtype),
-            ]))
+            ]), w
 
-        ch = cfg.input_channels
-        for lv in range(cfg.levels):
-            w = self.width * 2 ** lv
-            self.enc.append((pair(f"enc{lv}", ch, w), MaxPool3d()))
-            self.skip_channels.append(w)
-            ch = w
-        self.bottleneck = pair("bottleneck", ch, self.bottleneck_width)
-        ch = self.bottleneck_width
-        for lv in reversed(range(cfg.levels)):
-            w = self.width * 2 ** lv
-            self.dec_deep.append(pair(f"dec{lv}", ch + self.skip_channels[lv], w))
-            ch = w
-        self._add_head(ch)
+        # the pools own no parameters, so they are no stages
+        super().__init__(cfg, dtype, None, pair, lambda name, ch, lv: (None, MaxPool3d(), ch))
 
 
 # every model kind, by the name a config or a UCPT record gives it
@@ -365,13 +354,6 @@ def build_unet3d_baseline(cfg: UceptionCfg, seed=0, dtype=np.float32):
     """3D U-net with widths auto-scaled to Uception's parameter count
     (within ten percent) for the same cfg."""
     return UNet3d(cfg, dtype=dtype).init_params(seed)
-
-
-def forward(model, x, mode="infer", seed=None):
-    """Run a model on a batch; train mode is deterministic given seed.
-    The model casts x to its dtype and checks its shape."""
-    y, _ = call(model, x, Context(mode=mode, rng=seed))
-    return y
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,9 @@ def trilinear_blend(src, lo, hi, frac):
 
 
 def clip_normalize(volume):
-    """Clip the bright tail at the 99.9th percentile, then divide by the
-    post-clip maximum so the output lies in [0, 1] with max exactly 1.
+    """Clip to [0, the 99.9th percentile], then divide by the post-clip
+    maximum so the output lies in [0, 1] with max exactly 1: the bright
+    tail saturates and negative voxels (a signed image) map to 0.
 
     An all-zero volume has no usable scale: it is returned unchanged and
     an AllZeroVolumeWarning is emitted. Any other volume whose post-clip
@@ -81,7 +82,7 @@ def clip_normalize(volume):
         warnings.warn("all-zero volume left unnormalized", AllZeroVolumeWarning,
                       stacklevel=2)
         return Volume(data.copy(), volume.spacing)
-    clipped = np.minimum(data, np.float32(np.percentile(data, 99.9)))
+    clipped = np.clip(data, 0, np.float32(np.percentile(data, 99.9)))
     peak = clipped.max()
     if not peak > 0:
         raise NumericError(f"cannot normalize a volume whose clipped maximum is {peak}, "

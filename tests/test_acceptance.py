@@ -5,6 +5,7 @@ The end-to-end phantom training run (criterion 5) is the expensive part;
 its artifacts are built once in a module fixture and shared with the
 snapshot-averaging criterion.
 """
+import ctypes
 import glob
 import hashlib
 import json
@@ -17,19 +18,13 @@ import numpy as np
 import pytest
 
 from uception import layers
-from uception.blocks import DeepBlock, DeepBlockCfg, ReductionBlock, ReductionBlockCfg
+from uception.blocks import DeepBlock, ReductionBlock
 from uception.cli import main, run_training
 from uception.errors import MetaImageError
 from uception.gradcheck import format_results, run_suite
 from uception.layers import TRAIN, Context
 from uception.metrics import average_hausdorff, hard_dice, sensitivity, soft_dice, soft_dice_backward
-from uception.models import (
-    UceptionCfg,
-    Uception,
-    build_unet3d_baseline,
-    build_uception,
-    forward,
-)
+from uception.models import UceptionCfg, Uception, build_unet3d_baseline, build_uception
 from uception.preprocess import (
     clip_normalize,
     crop_to,
@@ -93,18 +88,17 @@ def test_criterion_02_shape_architecture_contract():
     model = build_uception(UceptionCfg(base_depth=10, levels=3), seed=0,
                            dtype=np.float32)
     x = np.random.default_rng(0).standard_normal((1, 1, 64, 64, 64)).astype(np.float32)
-    y = forward(model, x)
+    y, _ = layers.call(model, x, Context())
     shape_ok = y.shape == (1, 1, 64, 64, 64)
     range_ok = 0.0 < float(y.min()) and float(y.max()) < 1.0
 
     g = np.random.default_rng(1)
     red = layers.init_params(
-        ReductionBlock("red", ReductionBlockCfg(in_channels=4, branch_depth=3)), g)
+        ReductionBlock("red", in_channels=4, branch_depth=3), g)
     red, _ = layers.call(red, g.standard_normal((1, 4, 16, 16, 16)).astype(np.float32),
                          Context())
     halves_ok = red.shape == (1, 10, 8, 8, 8)
-    deep = layers.init_params(DeepBlock("deep", DeepBlockCfg(in_channels=2, branch_depth=5)),
-                              g)
+    deep = layers.init_params(DeepBlock("deep", in_channels=2, branch_depth=5), g)
     deep, _ = layers.call(deep, g.standard_normal((1, 2, 8, 8, 8)).astype(np.float32),
                           Context())
     deep_ok = deep.shape == (1, 20, 8, 8, 8)
@@ -353,7 +347,7 @@ def test_criterion_10_snapshot_averaging(phantom_run):
 # f32 bytes depend on the BLAS kernels, so the digests hold for the numpy
 # and BLAS builds named below; a change that moves them on purpose says so.
 
-PINNED_ON = "numpy 2.4.6 with scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH)"
+PINNED_ON = "numpy 2.4.6 with scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH) on core SkylakeX"
 RUN_DIGESTS = {
     "model_last.ucpt": "95c630f8bf56fb4c9f3a080f33d1d61df84602d5edd8923ce5d7768e54c35fa7",
     "model_avg.ucpt": "3527b230f66c619595ba8a362540b748bc884d8406986b7695cb719a24795695",
@@ -383,13 +377,29 @@ STEP_DIGESTS = {
 }
 
 
+def _blas_core():
+    """The CPU core whose kernels numpy's bundled OpenBLAS chose at load
+    time; a DYNAMIC_ARCH build picks them per machine, and the f32 bytes
+    follow the kernels."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown core"
+
+
 def _build_versions():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError):
         blas = "unknown BLAS"
-    return f"pinned on {PINNED_ON}; this run has numpy {np.__version__} with {blas}"
+    return (f"pinned on {PINNED_ON}; this run has numpy {np.__version__} with {blas} "
+            f"on core {_blas_core()}")
 
 
 def test_full_run_bytes_are_pinned(phantom_run):
@@ -425,7 +435,8 @@ def _step_digests(kind, mode):
     for name in model.parameters():
         train.update(grads[name].tobytes())
     tile = rng.standard_normal((1, 1, 16, 16, 16)).astype(dtype)
-    return train.hexdigest(), hashlib.sha256(forward(model, tile).tobytes()).hexdigest()
+    y, _ = layers.call(model, tile, Context())
+    return train.hexdigest(), hashlib.sha256(y.tobytes()).hexdigest()
 
 
 def _child_step_digests(threads):

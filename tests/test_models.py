@@ -21,7 +21,6 @@ from uception.models import (
     _unet_conv_geometry,
     build_uception,
     build_unet3d_baseline,
-    forward,
     load_checkpoint,
     match_unet_widths,
     save_checkpoint,
@@ -79,39 +78,40 @@ class TestUception:
         cfg = UceptionCfg(base_depth=2, levels=2, dropout_rate=0.1)
         model = build_uception(cfg, seed=0)
         x = np.random.default_rng(0).standard_normal((1, 1, 16, 16, 16))
-        y = forward(model, x)
+        y = layers.call(model, x, Context())[0]
         assert y.shape == (1, 1, 16, 16, 16)
         assert 0.0 < y.min() and y.max() < 1.0
 
     def test_indivisible_extents_rejected(self):
         model = build_uception(UceptionCfg(base_depth=2, levels=2), seed=0)
         with pytest.raises(ShapeError):
-            forward(model, np.zeros((1, 1, 10, 16, 16)))
+            layers.call(model, np.zeros((1, 1, 10, 16, 16)), Context())
 
     def test_infer_deterministic_and_train_rate0_matches(self):
         cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.0)
         model = build_uception(cfg, seed=1)
         x = np.random.default_rng(1).standard_normal((1, 1, 8, 8, 8))
-        y1 = forward(model, x, mode="infer")
-        y2 = forward(model, x, mode="infer")
+        y1 = layers.call(model, x, Context(mode="infer"))[0]
+        y2 = layers.call(model, x, Context(mode="infer"))[0]
         assert np.array_equal(y1, y2)
-        y3 = forward(model, x, mode="train", seed=5)
+        y3 = layers.call(model, x, Context(mode="train", rng=5))[0]
         assert np.array_equal(y1, y3)  # rate 0: dropout is identity
 
     def test_train_mode_deterministic_given_seed(self):
         cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.3)
         model = build_uception(cfg, seed=1)
         x = np.random.default_rng(2).standard_normal((1, 1, 8, 8, 8))
-        a = forward(model, x, mode="train", seed=9)
-        b = forward(model, x, mode="train", seed=9)
-        c = forward(model, x, mode="train", seed=10)
+        a = layers.call(model, x, Context(mode="train", rng=9))[0]
+        b = layers.call(model, x, Context(mode="train", rng=9))[0]
+        c = layers.call(model, x, Context(mode="train", rng=10))[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_zero_weight_model_outputs_half(self):
         cfg = UceptionCfg(base_depth=2, levels=1)
         model = Uception(cfg)  # all parameters stay zero
-        y = forward(model, np.random.default_rng(3).standard_normal((1, 1, 8, 8, 8)))
+        x = np.random.default_rng(3).standard_normal((1, 1, 8, 8, 8))
+        y = layers.call(model, x, Context())[0]
         assert np.allclose(y, 0.5)
 
     def test_skip_path_alone_carries_input_signal(self):
@@ -119,12 +119,12 @@ class TestUception:
         # (non-skip) channels; encoder features must still reach the head
         cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.0)
         model = build_uception(cfg, seed=4, dtype=np.float64)
-        for i, deep in enumerate(model.dec_deep):
-            lv = cfg.levels - 1 - i
-            up_ch = deep.cfg.in_channels - model.skip_channels[lv]
+        below = model.bottleneck  # the stage whose output each decoder upsamples
+        for deep in model.dec_deep:
             for name, arr in layers.parameters(deep).items():
-                if name.endswith("conv1.w") and arr.shape[1] == deep.cfg.in_channels:
-                    arr[:, :up_ch] = 0.0
+                if name.endswith("conv1.w"):  # the branch convs that read the block input
+                    arr[:, :below.out_channels] = 0.0
+            below = deep
         x = np.random.default_rng(5).standard_normal((1, 1, 8, 8, 8))
         y, cache = model.forward(x, Context(mode=TRAIN))  # dropout 0: no rng needed
         grads = {}
@@ -148,8 +148,8 @@ def test_forward_of_a_strided_input_matches_its_contiguous_copy(build, mode):
     model = build(UceptionCfg(base_depth=2, levels=1, dropout_rate=0.25), seed=3)
     for name, x in _strided_inputs().items():
         assert not x.flags.c_contiguous, name
-        got = forward(model, x, mode=mode, seed=5)
-        want = forward(model, np.ascontiguousarray(x), mode=mode, seed=5)
+        got = layers.call(model, x, Context(mode=mode, rng=5))[0]
+        want = layers.call(model, np.ascontiguousarray(x), Context(mode=mode, rng=5))[0]
         assert got.tobytes() == want.tobytes(), name
 
 
@@ -211,7 +211,7 @@ class TestUnetBaseline:
         cfg = UceptionCfg(base_depth=2, levels=2, dropout_rate=0.1)
         unet = build_unet3d_baseline(cfg, seed=0)
         x = np.random.default_rng(6).standard_normal((1, 1, 16, 16, 16))
-        y = forward(unet, x)
+        y = layers.call(unet, x, Context())[0]
         assert y.shape == (1, 1, 16, 16, 16)
         assert 0.0 < y.min() and y.max() < 1.0
 
@@ -421,7 +421,8 @@ class TestCheckpoint:
         blob = save_checkpoint(model)
         back = load_checkpoint(blob)
         x = np.random.default_rng(11).standard_normal((1, 1, 8, 8, 8))
-        assert np.array_equal(forward(model, x), forward(back, x))
+        assert np.array_equal(layers.call(model, x, Context())[0],
+                              layers.call(back, x, Context())[0])
 
 
 class TestGoldenCheckpoint:

@@ -92,6 +92,15 @@ class TestClipNormalize:
         assert np.allclose(out.data, expect)
         assert out.data.max() == 1.0
 
+    def test_negative_voxels_clip_to_zero(self):
+        data = np.linspace(-5.0, 5.0, 27).reshape(3, 3, 3)
+        out = clip_normalize(vol(data)).data
+        assert out.min() == 0.0 and out.max() == 1.0
+        assert not out[data <= 0].any()
+        # the positive voxels scale as in the same ramp with its negatives zeroed
+        want = clip_normalize(vol(np.maximum(data, 0.0))).data
+        assert np.array_equal(out[data > 0], want[data > 0])
+
     def test_all_zero_returned_with_warning(self):
         with pytest.warns(AllZeroVolumeWarning):
             out = clip_normalize(vol(np.zeros((2, 2, 2))))
