@@ -23,45 +23,48 @@ from .preprocess import trilinear_blend
 from .volume import Volume, save_metaimage
 
 
+# fixed generator settings; no workflow varies them
+WALK_STEP = 1.5                  # length over which the direction jitter acts
+CURVATURE = 0.35                 # direction jitter per walk step
+BLOB_RADIUS_RANGE = (2.5, 4.0)   # distractor radii
+BLUR_SIGMA = 0.3                 # point-spread blur; kernel radius 1
+MAX_FOREGROUND = 0.05            # sparsity bound on the truth
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
+    """What one phantom holds: `extents` (3 voxel counts, each >= 8),
+    `tubes` random-walk vessels with radii spread over `radius_range`,
+    `blobs` bright distractors, Gaussian `noise` of that standard
+    deviation, the voxel `spacing` written with the volumes, and the RNG
+    `seed`. The walk, distractor radii, blur and sparsity bound are the
+    module constants above.
+    """
     extents: tuple[int, int, int] = (48, 48, 48)
     tubes: int = 3
     radius_range: tuple[float, float] = (1.2, 2.8)
-    walk_step: float = 1.5
-    curvature: float = 0.35          # direction jitter per step; 0 = straight
     noise: float = 0.015
     blobs: int = 3
-    blob_radius_range: tuple[float, float] = (2.5, 4.0)
-    blur_sigma: float = 0.3
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     seed: int = 0
-    max_foreground: float = 0.05
-    straight_axis: int | None = None  # force axis-aligned full-length tubes
 
     def __post_init__(self):
         if len(self.extents) != 3 or any(int(e) < 8 for e in self.extents):
             raise ShapeError(f"phantom extents must be 3 values >= 8, got {self.extents}")
-        if self.tubes < 1:
-            raise ShapeError("phantom needs at least one tube")
-        positive = ("walk_step", "radius_range", "blob_radius_range", "spacing")
-        for name in ("noise", "curvature", "blur_sigma", "max_foreground") + positive:
+        for name, least in (("tubes", 1), ("blobs", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ShapeError(f"phantom {name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("noise", "radius_range", "spacing"):
             values = np.asarray(getattr(self, name), dtype=np.float64)
-            strict = name in positive
+            strict = name != "noise"
             if not (np.isfinite(values) & (values > 0 if strict else values >= 0)).all():
                 raise ShapeError(f"phantom {name} must be finite and {'>' if strict else '>='}"
                                  f" 0, got {getattr(self, name)}")
-        for name in ("radius_range", "blob_radius_range"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ShapeError(f"bad phantom {name} {getattr(self, name)}")
+        lo, hi = self.radius_range
+        if not lo <= hi:
+            raise ShapeError(f"bad phantom radius_range {self.radius_range}")
         if len(self.spacing) != 3:
             raise ShapeError(f"phantom spacing must be 3 values, got {self.spacing}")
-        if int(4.0 * self.blur_sigma + 0.5) >= min(int(e) for e in self.extents):
-            raise ShapeError(f"blur_sigma {self.blur_sigma} gives a kernel radius that "
-                             f"reaches the smallest extent {min(self.extents)}")
-        if self.straight_axis is not None and self.straight_axis not in (0, 1, 2):
-            raise ShapeError("straight_axis must be 0, 1 or 2")
 
 
 def _stamp_ball(grid, center, radius, value):
@@ -91,34 +94,22 @@ def _tube_intensity(radius, rng):
     return base + rng.uniform(-0.03, 0.03)
 
 
-def _walk_tube(truth, intensity_map, spec, rng, radius):
-    ext = np.asarray(spec.extents, dtype=np.float64)
+def _walk_tube(intensity_map, extents, rng, radius):
+    ext = np.asarray(extents, dtype=np.float64)
     value = _tube_intensity(radius, rng)
     substep = 0.5
-    if spec.straight_axis is not None:
-        ax = spec.straight_axis
-        pos = np.array([rng.uniform(radius + 1, e - radius - 1) for e in ext])
-        pos[ax] = 0.0
-        direction = np.zeros(3)
-        direction[ax] = 1.0
-        length = ext[ax]
-    else:
-        pos = np.array([rng.uniform(0.15 * e, 0.85 * e) for e in ext])
-        direction = _unit(rng.normal(size=3))
-        length = 2.0 * float(ext.max())
+    pos = np.array([rng.uniform(0.15 * e, 0.85 * e) for e in ext])
+    direction = _unit(rng.normal(size=3))
+    length = 2.0 * float(ext.max())
     traveled = 0.0
     while traveled <= length:
-        _stamp_ball(truth, pos, radius, 1.0)
         _stamp_ball(intensity_map, pos, radius, value)
         pos = pos + direction * substep
         traveled += substep
-        if spec.straight_axis is None:
-            if np.any(pos < -radius) or np.any(pos > ext + radius):
-                break
-            direction = _unit(direction + spec.curvature * substep / spec.walk_step
-                              * rng.normal(size=3))
-        elif pos[spec.straight_axis] >= ext[spec.straight_axis]:
+        if np.any(pos < -radius) or np.any(pos > ext + radius):
             break
+        direction = _unit(direction + CURVATURE * substep / WALK_STEP
+                          * rng.normal(size=3))
 
 
 def _gaussian_blur(x, sigma):
@@ -128,12 +119,11 @@ def _gaussian_blur(x, sigma):
     them (radius int(4 sigma + 0.5)), and each output sums as scipy's
     symmetric correlation does: ``w0 * x[i]``, then ``(x[i-j] + x[i+j]) *
     w[j]`` from the outermost pair in, so the result carries the bits of
-    ``scipy.ndimage.gaussian_filter(x, sigma)``. The radius must stay
-    below every extent (PhantomSpec checks it).
+    ``scipy.ndimage.gaussian_filter(x, sigma)`` as long as the radius
+    stays below every extent, where both reflect the same way: BLUR_SIGMA
+    gives radius 1, and every PhantomSpec extent is at least 8.
     """
     radius = int(4.0 * sigma + 0.5)
-    if radius == 0:
-        return x  # a single tap of weight 1.0
     taps = np.arange(-radius, radius + 1)
     w = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
     w = w / w.sum()
@@ -162,27 +152,30 @@ def generate_phantom(spec: PhantomSpec):
     """Build one (image, truth) pair of Volumes from the spec's seed."""
     rng = np.random.default_rng(spec.seed)
     extents = tuple(int(e) for e in spec.extents)
-    truth = np.zeros(extents, dtype=np.float64)
     structures = np.zeros(extents, dtype=np.float64)
     # stratified radii: every phantom mixes thin and thick tubes
     lo, hi = spec.radius_range
     radii = np.linspace(lo, hi, spec.tubes) if spec.tubes > 1 else np.array([(lo + hi) / 2])
     radii = np.clip(radii + rng.uniform(-0.1, 0.1, spec.tubes), lo, hi)
     for radius in radii:
-        _walk_tube(truth, structures, spec, rng, float(radius))
+        _walk_tube(structures, extents, rng, float(radius))
+    # each tube ball is stamped once, at a value of at least 0.53
+    # (_tube_intensity), so the truth is exactly the nonzero voxels
+    # before the blobs go in
+    truth = structures > 0
     for _ in range(spec.blobs):
-        radius = rng.uniform(*spec.blob_radius_range)
+        radius = rng.uniform(*BLOB_RADIUS_RANGE)
         center = [rng.uniform(radius, e - radius) for e in extents]
         # distractor: brighter than any vessel, never in the truth; the
         # tight range pins the volume maximum the baseline normalizes by
         _stamp_ball(structures, center, radius, rng.uniform(0.98, 1.02))
     fg = truth.mean()
-    if fg >= spec.max_foreground:
+    if fg >= MAX_FOREGROUND:
         raise DataError(
             f"phantom foreground fraction {fg:.3f} violates sparsity bound "
-            f"{spec.max_foreground}"
+            f"{MAX_FOREGROUND}"
         )
-    structures = _gaussian_blur(structures, spec.blur_sigma)
+    structures = _gaussian_blur(structures, BLUR_SIGMA)
     image = np.maximum(_smooth_background(extents, rng), structures)
     if spec.noise > 0:
         image = image + spec.noise * rng.standard_normal(extents)
@@ -191,7 +184,7 @@ def generate_phantom(spec: PhantomSpec):
             Volume(truth.astype(np.float32), spec.spacing))
 
 
-def write_phantom_dataset(out_dir, n_train=12, n_val=1, n_test=3, spec=None):
+def write_phantom_dataset(out_dir, n_train, n_val, n_test, spec=None):
     """Write (image, truth) MetaImage pairs for a train/val/test split.
 
     File i of each split is generated from a seed derived from

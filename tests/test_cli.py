@@ -120,7 +120,8 @@ class TestPhantomCommand:
         assert code == EXIT_IO
 
     @pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--noise", "-1"),
-                                            ("--tubes", "0"), ("--extents", "4")])
+                                            ("--tubes", "0"), ("--extents", "4"),
+                                            ("--seed", "-1"), ("--blobs", "-1")])
     def test_bad_setting_is_config_error(self, tmp_path, flag, value):
         code = main(["phantom", "--out", str(tmp_path / "x"), flag, value])
         assert code == EXIT_CONFIG

@@ -1,12 +1,12 @@
-"""Phantom generator: determinism, sparsity, cylinder-volume sanity."""
+"""Phantom generator: determinism, sparsity, ball-volume sanity."""
 import hashlib
 
 import numpy as np
 import pytest
 
 from uception.errors import DataError, ShapeError
-from uception.phantom import (PhantomSpec, _gaussian_blur, generate_phantom,
-                              write_phantom_dataset)
+from uception.phantom import (PhantomSpec, _gaussian_blur, _stamp_ball,
+                              generate_phantom, write_phantom_dataset)
 from uception.preprocess import resample_trilinear
 from uception.volume import load_metaimage, volume_to_mask
 
@@ -31,15 +31,19 @@ def test_default_spec_is_sparse():
         assert volume_to_mask(tru).mean() < 0.05
 
 
-def test_straight_tube_matches_cylinder_volume():
-    # noise 0, one straight axis-aligned tube of radius 2 through a 64-cube:
-    # voxel count within 20% of pi * r^2 * length
-    spec = PhantomSpec(extents=(64, 64, 64), tubes=1, radius_range=(2.0, 2.0),
-                       noise=0.0, blobs=0, straight_axis=0, seed=3)
-    _, tru = generate_phantom(spec)
-    count = int(volume_to_mask(tru).sum())
-    expect = np.pi * 2.0 ** 2 * 64
+@pytest.mark.parametrize("radius", [2.0, 2.8])
+def test_stamped_ball_matches_sphere_volume(radius):
+    # a ball centred on a voxel covers within 20% of 4/3 pi r^3 voxels,
+    # all at the stamped value, and stamping it again changes nothing
+    grid = np.zeros((16, 16, 16))
+    _stamp_ball(grid, (8.0, 8.0, 8.0), radius, 0.7)
+    count = int((grid > 0).sum())
+    expect = 4.0 / 3.0 * np.pi * radius ** 3
     assert abs(count - expect) / expect <= 0.20
+    assert set(np.unique(grid)) == {0.0, 0.7}
+    again = grid.copy()
+    _stamp_ball(again, (8.0, 8.0, 8.0), radius, 0.7)
+    assert np.array_equal(again, grid)
 
 
 def test_truth_is_binary_and_image_nonnegative():
@@ -50,7 +54,7 @@ def test_truth_is_binary_and_image_nonnegative():
 
 def test_foreground_bound_enforced():
     dense = PhantomSpec(extents=(16, 16, 16), tubes=30, radius_range=(2.5, 3.0),
-                        seed=0, max_foreground=0.05)
+                        seed=0)
     with pytest.raises(DataError):
         generate_phantom(dense)
 
@@ -60,28 +64,20 @@ def test_bad_spec_rejected():
         PhantomSpec(tubes=0)
     with pytest.raises(ShapeError):
         PhantomSpec(radius_range=(0.0, 1.0))
-    with pytest.raises(ShapeError):
-        PhantomSpec(straight_axis=5)
 
 
 @pytest.mark.parametrize("setting", [
-    {"noise": float("nan")}, {"noise": -0.1}, {"curvature": float("inf")},
-    {"curvature": -0.2}, {"walk_step": 0.0}, {"walk_step": float("nan")},
-    {"blur_sigma": float("inf")}, {"blur_sigma": float("nan")}, {"blur_sigma": -1.0},
+    {"noise": float("nan")}, {"noise": -0.1}, {"noise": float("inf")},
     {"radius_range": (1.0, float("inf"))}, {"radius_range": (2.0, 1.0)},
-    {"blob_radius_range": (float("nan"), 3.0)}, {"blob_radius_range": (-1.0, 3.0)},
+    {"radius_range": (float("nan"), 3.0)}, {"radius_range": (-1.0, 3.0)},
     {"spacing": (1.0, float("nan"), 1.0)}, {"spacing": (1.0, 0.0, 1.0)},
-    {"spacing": (1.0, 1.0)}, {"max_foreground": float("nan")},
+    {"spacing": (1.0, 1.0)}, {"spacing": (float("inf"), 1.0, 1.0)},
+    {"spacing": (1.0, 1.0, -0.5)}, {"extents": (7, 8, 8)}, {"extents": (8, 8)},
+    {"tubes": -1}, {"seed": -1}, {"blobs": -1},
 ])
 def test_non_finite_or_negative_settings_rejected(setting):
     with pytest.raises(ShapeError):
         PhantomSpec(**setting)
-
-
-def test_blur_radius_must_stay_below_the_smallest_extent():
-    PhantomSpec(extents=(8, 9, 10), blur_sigma=1.74)  # radius 7
-    with pytest.raises(ShapeError, match="smallest extent 8"):
-        PhantomSpec(extents=(8, 9, 10), blur_sigma=1.88)  # radius 8
 
 
 @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.5])
