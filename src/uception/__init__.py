@@ -5,10 +5,14 @@ A dependency-light numpy implementation of the Uception architecture
 backward passes verified by finite differences, a phantom generator for
 desk-scale experiments, volumetric evaluation metrics, and a MetaImage
 reader/writer.
+
+Importing the package sets glibc's heap policy for the whole process
+(``host.HEAP_POLICY``), unless the environment already tunes malloc.
 """
 
 __version__ = "0.1.0"
 
+from . import host  # first: the heap policy applies to everything after it
 from .blocks import DeepBlock, ReductionBlock
 from .layers import Context, INFER, TRAIN
 from .metrics import (

@@ -3,7 +3,8 @@ gradcheck.
 
 phantom, train and segment write a manifest.json into their output
 directory recording the exact configuration, seed and package version, so
-their artifacts can be regenerated by replaying the manifest; evaluate and
+their artifacts can be regenerated by replaying the manifest, and the BLAS
+core, BLAS thread variables and heap policy the run had; evaluate and
 gradcheck write none. Exit codes: 0 success, 2 config error, 3 I/O error,
 4 numeric error or failed check.
 """
@@ -18,7 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, host
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -81,6 +82,9 @@ def write_manifest(out_dir, command, config, seed, outputs, started):
         "started": started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "outputs": sorted(outputs),
+        "blas_core": host.blas_core(),
+        "blas_threads": {var: os.environ.get(var) for var in host.BLAS_THREAD_VARS},
+        "heap_policy": host.HEAP_POLICY,
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:

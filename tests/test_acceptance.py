@@ -5,7 +5,6 @@ The end-to-end phantom training run (criterion 5) is the expensive part;
 its artifacts are built once in a module fixture and shared with the
 snapshot-averaging criterion.
 """
-import ctypes
 import glob
 import hashlib
 import json
@@ -22,6 +21,7 @@ from uception.blocks import DeepBlock, ReductionBlock
 from uception.cli import main, run_training
 from uception.errors import MetaImageError
 from uception.gradcheck import format_results, run_suite
+from uception.host import blas_core
 from uception.layers import TRAIN, Context
 from uception.metrics import average_hausdorff, hard_dice, sensitivity, soft_dice, soft_dice_backward
 from uception.models import UceptionCfg, Uception, build_unet3d_baseline, build_uception
@@ -377,21 +377,6 @@ STEP_DIGESTS = {
 }
 
 
-def _blas_core():
-    """The CPU core whose kernels numpy's bundled OpenBLAS chose at load
-    time; a DYNAMIC_ARCH build picks them per machine, and the f32 bytes
-    follow the kernels."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in glob.glob(libs):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown core"
-
-
 def _build_versions():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -399,7 +384,7 @@ def _build_versions():
     except (KeyError, TypeError):
         blas = "unknown BLAS"
     return (f"pinned on {PINNED_ON}; this run has numpy {np.__version__} with {blas} "
-            f"on core {_blas_core()}")
+            f"on core {blas_core()}")
 
 
 def test_full_run_bytes_are_pinned(phantom_run):

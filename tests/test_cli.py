@@ -15,6 +15,7 @@ from uception.cli import (
     main,
     read_manifest,
 )
+from uception.host import BLAS_THREAD_VARS
 from uception.models import UceptionCfg, build_uception, save_checkpoint
 from uception.phantom import PhantomSpec, write_phantom_dataset
 from uception.volume import Volume, load_metaimage, save_metaimage
@@ -100,6 +101,8 @@ class TestPhantomCommand:
         manifest = read_manifest(str(out))
         assert manifest["command"] == "phantom"
         assert manifest["seed"] == 3
+        assert manifest["blas_core"] and set(manifest["blas_threads"]) == set(BLAS_THREAD_VARS)
+        assert "heap_policy" in manifest
 
     def test_rerun_same_seed_identical_files(self, tmp_path):
         outs = []

@@ -329,6 +329,18 @@ class TestUpsample:
         err = probe(scalar, {"x": x}, {"x": gx})
         assert err <= 1e-4
 
+    @pytest.mark.parametrize("shape", [(2, 32, 16, 16, 16), (2, 64, 8, 8, 8), (1, 2, 6, 6, 6),
+                                       (1, 3, 4, 6, 8)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bits_match_a_reshape_sum(self, shape, dtype):
+        # the pinned digests were made with numpy's sum over the block axes
+        g = rng(14).standard_normal(shape).astype(dtype)
+        g[..., ::3] = 0.0
+        g[:, 0] = -0.0  # all-negative-zero blocks sum to +0.0
+        n, c, d, h, w = shape
+        want = g.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2).sum(axis=(3, 5, 7))
+        assert ops.upsample_nearest_backward(g).tobytes() == want.tobytes()
+
 
 class TestConcat:
     def test_single_input_roundtrip(self):
