@@ -107,10 +107,10 @@ def cmd_phantom(args):
     try:
         spec = PhantomSpec(extents=(args.extents,) * 3, tubes=args.tubes,
                            blobs=args.blobs, noise=args.noise, seed=args.seed)
-    except ShapeError as exc:  # a bad setting, like any other bad config
+        written = write_phantom_dataset(args.out, args.n_train, args.n_val, args.n_test,
+                                        spec)
+    except (ShapeError, DataError) as exc:  # every one comes from a flag: a bad config
         raise ConfigError(str(exc)) from exc
-    written = write_phantom_dataset(args.out, args.n_train, args.n_val, args.n_test,
-                                    spec)
     outputs = [p for pair_list in written.values() for pair in pair_list for p in pair]
     config = {
         "extents": args.extents, "tubes": args.tubes, "blobs": args.blobs,

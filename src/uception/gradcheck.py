@@ -9,10 +9,11 @@ small arrays and a seeded sample of large ones. All checks run in the
 Every layer, block and model check is built by ``_layer_case``: it runs the
 layer the way training does, through ``layers.call`` in TRAIN mode and
 ``layers.back`` on that cache, so the checked backward reads the caches
-training keeps (ReLU and dropout masks, the pool route). Only the channel
-concatenation and the soft-Dice loss, which are not layers, build their
-own cases. A case is (scalar_fn, arrays, analytic), plus (cap, h) for the
-layer cases, and ``probe_case`` probes it.
+training keeps (ReLU and dropout masks, the pool route). The blocks and
+models check ``layers.Concat`` inside them; only the bare
+``ops.concat_channels`` and the soft-Dice loss, which are not layers,
+build their own cases. A case is (scalar_fn, arrays, analytic), plus
+(cap, h) for the layer cases, and ``probe_case`` probes it.
 The relative error metric is |a - f| / max(1e-8, |a| + |f|), reported as
 the maximum over all probed entries.
 """

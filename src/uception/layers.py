@@ -3,8 +3,13 @@
 A layer owns its parameters (named, stable across builds) but never owns
 activations: ``forward`` returns ``(output, cache)`` and ``backward``
 consumes that cache, so a built graph stays read-only during the forward
-pass and can be shared across threads for inference. Parameter gradients
-are accumulated into the ``grads`` dict passed to ``backward``.
+pass and can be shared across threads for inference. Each Conv3d stores
+its parameter gradients in the ``grads`` dict passed to ``backward``.
+
+Two containers build every tree: Chain runs its members in sequence and
+Concat runs them side by side on one input, joining their outputs on the
+channel axis. The Inception blocks and both whole networks are nothing
+else, and ``walk`` descends into these two only.
 
 A parent reaches a child only through ``call`` and ``back``. Only a TRAIN
 forward keeps the child's cache; in INFER mode ``call`` hands back the
@@ -52,13 +57,6 @@ def back(layer, grad_out, cache, grads):
     return layer.backward(grad_out, cache, grads)
 
 
-def accumulate_grad(grads, name, g):
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
-
-
 class Conv3d:
     def __init__(self, name, spec: ConvSpec, dtype=np.float32):
         self.name = name
@@ -80,8 +78,8 @@ class Conv3d:
 
     def backward(self, grad_out, cache, grads):
         gx, gw, gb = ops.conv3d_backward(cache, self.w, grad_out, self.spec)
-        accumulate_grad(grads, f"{self.name}.w", gw)
-        accumulate_grad(grads, f"{self.name}.b", gb)
+        grads[f"{self.name}.w"] = gw
+        grads[f"{self.name}.b"] = gb
         return gx
 
 
@@ -167,20 +165,39 @@ class Chain:
         return grad_out
 
 
+class Concat:
+    """Run every member on one input and concatenate their outputs on the
+    channel axis; backward sums the members' input gradients in order."""
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+
+    def forward(self, x, ctx):
+        outs, caches = [], []
+        for layer in self.layers:
+            y, cache = call(layer, x, ctx)
+            outs.append(y)
+            caches.append(cache)
+        return ops.concat_channels(outs), (caches, [y.shape[1] for y in outs])
+
+    def backward(self, grad_out, cache, grads):
+        caches, widths = cache
+        pieces = ops.concat_channels_backward(grad_out, widths)
+        grad_x = None
+        for layer, piece, c in zip(self.layers, pieces, caches):
+            g = back(layer, piece, c, grads)
+            grad_x = g if grad_x is None else grad_x + g
+        return grad_x
+
+
 def walk(layer):
     """Yield the leaf layers under layer in build order, descending into
-    Chain.layers and into the (name, layer) pairs of a block's .branches
-    or a model's ._stages."""
-    if isinstance(layer, Chain):
+    the members of every Chain and Concat."""
+    if isinstance(layer, (Chain, Concat)):
         for sub in layer.layers:
             yield from walk(sub)
-        return
-    pairs = getattr(layer, "branches", getattr(layer, "_stages", None))
-    if pairs is None:
+    else:
         yield layer
-        return
-    for _, sub in pairs:
-        yield from walk(sub)
 
 
 def parameters(root):

@@ -3,6 +3,9 @@ Uception and a plain 3D U-net baseline sized to matching capacity built
 on it, the table of model kinds, the flat "key = value" record codec that
 the training config shares, and the binary checkpoint format.
 
+A model is a ``layers.Chain`` whose skip connections are two-member
+``layers.Concat`` layers, so it runs, and is walked, like any other layer.
+
 Checkpoint layout (version 1, all integers little-endian):
 
     bytes 0..3   magic "UCPT"
@@ -29,7 +32,7 @@ import numpy as np
 from . import layers
 from .blocks import DeepBlock, ReductionBlock
 from .errors import CheckpointError, ConfigError, ShapeError
-from .layers import Chain, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest, back, call, conv_unit
+from .layers import Chain, Concat, Conv3d, MaxPool3d, Sigmoid, UpsampleNearest, conv_unit
 from .ops import SAME, ConvSpec
 from .tensor import AXES
 
@@ -119,9 +122,40 @@ def _conv_param_count(specs, limit=None):
     return total
 
 
-class _ModelBase:
-    """The U-net skeleton both models share, plus naming, init, parameter
-    access and the input checks.
+class _Input:
+    """The model's first layer: casts the input to the model's dtype and
+    checks its frame (5 axes, the configured channel count, every extent
+    divisible by 2^levels); backward passes the gradient through."""
+
+    def __init__(self, cfg, dtype):
+        self.cfg = cfg
+        self.dtype = dtype
+
+    def forward(self, x, ctx):
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 5:
+            raise ShapeError(f"model input must be 5-axis, got ndim={x.ndim}")
+        if x.shape[1] != self.cfg.input_channels:
+            raise ShapeError(
+                f"model input has {x.shape[1]} channels, expected {self.cfg.input_channels}",
+                axis="channel",
+            )
+        div = 2 ** self.cfg.levels
+        for ax, ext in zip(AXES[2:], x.shape[2:]):
+            if ext % div:
+                raise ShapeError(
+                    f"input extent {ext} on axis {ax!r} is not divisible by 2^levels={div}",
+                    axis=ax,
+                )
+        return x, None
+
+    def backward(self, grad_out, cache, grads):
+        return grad_out
+
+
+class _ModelBase(Chain):
+    """The U-net skeleton both models share, plus naming, init and
+    parameter access.
 
     The constructor builds the skeleton from three parts a subclass
     supplies. ``stem`` is a (stage name, layer, output channels) triple, or
@@ -129,14 +163,18 @@ class _ModelBase:
     ``down(name, ch, lv)`` build the stage at level ``lv`` on ``ch`` input
     channels and return the same kind of triple; ``name`` is the stage's
     place ("enc0", "bottleneck", "dec0"). A stage named None owns no
-    parameters and is not listed in ``_stages``. The skeleton is the stem,
-    per encoder level a ``(deep, down)`` pair in ``enc`` whose deep output
-    is that level's skip, the deep ``bottleneck`` at level ``levels``, the
-    decoder stages ``dec_deep`` (deepest level first), each reading the
-    upsampled features concatenated with its level's skip, and the 1-cube
-    ``head`` conv. ``forward`` and ``backward`` walk them through
-    ``layers.call`` and ``layers.back``, which look every stage's method up
-    at call time.
+    parameters and is not listed in ``_stages``.
+
+    The model is a Chain of the input check, the stem, level 0, the 1-cube
+    ``head`` conv and a sigmoid. Level ``lv`` is its encoder deep stage, its
+    skip connection and its decoder deep stage, in the Chain that holds it;
+    the skip connection is a Concat of the path down (a Chain of the down
+    stage, level ``lv + 1`` and a nearest upsample) and the identity, so the
+    decoder reads the upsampled features followed by the encoder features.
+    The innermost level, ``levels``, is the bottleneck deep stage alone.
+    Levels are not wrapped in Chains of their own: a wrapper's caller would
+    keep the level's input (forward) or output gradient (backward) alive
+    while the whole level runs.
     """
 
     record_fields = {}  # constructor arguments the UCPT record stores, with types
@@ -151,22 +189,24 @@ class _ModelBase:
                 self._stages.append((name, layer))
             return layer, ch
 
-        self.stem, ch = stage(*stem) if stem else (Chain([]), cfg.input_channels)
-        self.enc, skips = [], []
+        stem, ch = stage(*stem) if stem else (Chain([]), cfg.input_channels)
+        encoder = []  # (deep, down, skip channels) per level
         for lv in range(cfg.levels):
-            block, ch = stage(*deep(f"enc{lv}", ch, lv))
-            skips.append(ch)
-            pool, ch = stage(*down(f"enc{lv}", ch, lv))
-            self.enc.append((block, pool))
-        self.bottleneck, ch = stage(*deep("bottleneck", ch, cfg.levels))
-        self.dec_deep = []
+            enc, skip_ch = stage(*deep(f"enc{lv}", ch, lv))
+            pool, ch = stage(*down(f"enc{lv}", skip_ch, lv))
+            encoder.append((enc, pool, skip_ch))
+        bottleneck, ch = stage(*deep("bottleneck", ch, cfg.levels))
+        body = [bottleneck]
+        # each level wraps the one below, built inside out by a loop: a recursive
+        # local function would hold the model in a reference cycle
         for lv in reversed(range(cfg.levels)):
-            block, ch = stage(*deep(f"dec{lv}", ch + skips[lv], lv))
-            self.dec_deep.append(block)
+            enc, pool, skip_ch = encoder[lv]
+            skip = Concat([Chain([pool, *body, UpsampleNearest()]), Chain([])])
+            dec, ch = stage(*deep(f"dec{lv}", ch + skip_ch, lv))
+            body = [enc, skip, dec]
         spec = ConvSpec(ch, cfg.output_channels, (1, 1, 1), (1, 1, 1), SAME)
-        self.head, _ = stage("head", Conv3d("head.conv", spec, dtype=self.dtype), None)
-        self.up = UpsampleNearest()
-        self.out_sigmoid = Sigmoid()
+        head, _ = stage("head", Conv3d("head.conv", spec, dtype=self.dtype), None)
+        super().__init__([_Input(cfg, self.dtype), stem, *body, head, Sigmoid()])
 
     def init_params(self, seed):
         return layers.init_params(self, np.random.default_rng(seed))
@@ -195,66 +235,6 @@ class _ModelBase:
                 )
             arr[...] = v.astype(arr.dtype)
         return self
-
-    def _check_input(self, x):
-        if x.ndim != 5:
-            raise ShapeError(f"model input must be 5-axis, got ndim={x.ndim}")
-        if x.shape[1] != self.cfg.input_channels:
-            raise ShapeError(
-                f"model input has {x.shape[1]} channels, expected {self.cfg.input_channels}",
-                axis="channel",
-            )
-        div = 2 ** self.cfg.levels
-        for ax, ext in zip(AXES[2:], x.shape[2:]):
-            if ext % div:
-                raise ShapeError(
-                    f"input extent {ext} on axis {ax!r} is not divisible by 2^levels={div}",
-                    axis=ax,
-                )
-
-    def forward(self, x, ctx):
-        """Returns (probability volume, cache). Cache feeds backward(), which
-        needs a TRAIN-mode forward: an INFER cache holds no array."""
-        x = np.asarray(x, dtype=self.dtype)
-        self._check_input(x)
-        h, c_stem = call(self.stem, x, ctx)
-        skips, enc_caches = [], []
-        for deep, down in self.enc:
-            h, c_deep = call(deep, h, ctx)
-            skips.append(h)
-            h, c_down = call(down, h, ctx)
-            enc_caches.append((c_deep, c_down))
-        h, c_bott = call(self.bottleneck, h, ctx)
-        dec_caches = []
-        for deep in self.dec_deep:
-            up, c_up = call(self.up, h, ctx)
-            up_ch = up.shape[1]
-            # the stage input is all that stays live: the old h, the used
-            # skip and up are let go before the stage runs
-            h = np.concatenate([up, skips.pop()], axis=1)
-            del up
-            h, c_deep = call(deep, h, ctx)
-            dec_caches.append((up_ch, c_up, c_deep))
-        z, c_head = call(self.head, h, ctx)
-        y, c_sig = call(self.out_sigmoid, z, ctx)
-        return y, (c_stem, enc_caches, c_bott, dec_caches, c_head, c_sig)
-
-    def backward(self, grad_out, cache, grads):
-        c_stem, enc_caches, c_bott, dec_caches, c_head, c_sig = cache
-        g = back(self.out_sigmoid, grad_out, c_sig, grads)
-        g = back(self.head, g, c_head, grads)
-        skip_grads = []  # shallowest level first
-        for deep, (up_ch, c_up, c_deep) in zip(reversed(self.dec_deep), reversed(dec_caches)):
-            g = back(deep, g, c_deep, grads)
-            skip_grads.append(g[:, up_ch:])
-            g = back(self.up, g[:, :up_ch], c_up, grads)
-        g = back(self.bottleneck, g, c_bott, grads)
-        for (deep, down), (c_deep, c_down), skip_grad in zip(
-                reversed(self.enc), reversed(enc_caches), reversed(skip_grads)):
-            g = back(down, g, c_down, grads)
-            g = g + skip_grad
-            g = back(deep, g, c_deep, grads)
-        return back(self.stem, g, c_stem, grads)
 
 
 class Uception(_ModelBase):

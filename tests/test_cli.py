@@ -118,22 +118,20 @@ class TestPhantomCommand:
             with open(outs[0] / name, "rb") as f1, open(outs[1] / name, "rb") as f2:
                 assert f1.read() == f2.read(), name
 
-    def test_zero_volumes_is_io_error(self, tmp_path):
-        code = main(["phantom", "--out", str(tmp_path / "x"), "--n-train", "0"])
-        assert code == EXIT_IO
-
     @pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--noise", "-1"),
                                             ("--tubes", "0"), ("--extents", "4"),
-                                            ("--seed", "-1"), ("--blobs", "-1")])
+                                            ("--seed", "-1"), ("--blobs", "-1"),
+                                            ("--n-train", "0"), ("--n-val", "-1")])
     def test_bad_setting_is_config_error(self, tmp_path, flag, value):
         code = main(["phantom", "--out", str(tmp_path / "x"), flag, value])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "x").exists()
 
-    def test_negative_val_count_is_io_error(self, tmp_path):
-        code = main(["phantom", "--out", str(tmp_path / "x"), "--n-val", "-1"])
-        assert code == EXIT_IO
-        assert not (tmp_path / "x").exists()
+    def test_foreground_bound_is_config_error(self, tmp_path, capsys):
+        # 24-cube volumes with the default three tubes break the 5 % bound
+        code = main(["phantom", "--out", str(tmp_path / "x"), "--extents", "24"])
+        assert code == EXIT_CONFIG
+        assert "sparsity bound" in capsys.readouterr().err
 
 
 class TestTrainCommand:

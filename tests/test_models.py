@@ -1,8 +1,10 @@
 """Model assembly contracts: shapes, determinism, parameter tallies,
 capacity matching, checkpoint format."""
+import gc
 import hashlib
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -119,8 +121,10 @@ class TestUception:
         # (non-skip) channels; encoder features must still reach the head
         cfg = UceptionCfg(base_depth=2, levels=1, dropout_rate=0.0)
         model = build_uception(cfg, seed=4, dtype=np.float64)
-        below = model.bottleneck  # the stage whose output each decoder upsamples
-        for deep in model.dec_deep:
+        stages = dict(model._stages)
+        below = stages["bottleneck.deep"]  # the stage whose output each decoder upsamples
+        for lv in reversed(range(cfg.levels)):
+            deep = stages[f"dec{lv}.deep"]
             for name, arr in layers.parameters(deep).items():
                 if name.endswith("conv1.w"):  # the branch convs that read the block input
                     arr[:, :below.out_channels] = 0.0
@@ -190,6 +194,28 @@ class TestParameterWalk:
         assert names[0] == "stem.conv" and names[-1] == "head.conv"
         assert list(model.parameters()) == [
             f"{n}.{p}" for n in names for p in ("w", "b")]
+
+    @pytest.mark.parametrize("cls", [Uception, UNet3d])
+    @pytest.mark.parametrize("depth, levels", [(4, 2), (2, 3)])
+    def test_stages_hold_the_tree_convs_in_order(self, cls, depth, levels):
+        # the stage list the benchmark times by and the layer tree stay in step
+        model = cls(UceptionCfg(base_depth=depth, levels=levels))
+
+        def convs(root):
+            return [layer for layer in layers.walk(root) if isinstance(layer, layers.Conv3d)]
+
+        assert [conv for _, stage in model._stages for conv in convs(stage)] == convs(model)
+
+    @pytest.mark.parametrize("cls", [Uception, UNet3d])
+    def test_a_dropped_model_is_freed_at_once(self, cls):
+        # no reference cycle: its arrays go when the last reference does,
+        # not at the next cycle collection
+        gc.disable()
+        try:
+            ref = weakref.ref(cls(UceptionCfg(base_depth=2, levels=2)))
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_duplicate_parameter_name_rejected(self):
         chain = layers.Chain([layers.conv_unit("same", 1, 1, 1),
