@@ -1,12 +1,13 @@
 """Batch command-line entry points: phantom, train, segment, evaluate,
 gradcheck.
 
-phantom, train and segment write a manifest.json into their output
-directory recording the exact configuration, seed and package version, so
-their artifacts can be regenerated by replaying the manifest, and the BLAS
-core, BLAS thread variables and heap policy the run had; evaluate and
-gradcheck write none. Exit codes: 0 success, 2 config error, 3 I/O error,
-4 numeric error or failed check.
+phantom and train write a manifest.json into their output directory, and
+segment writes <mask>.manifest.json beside its mask. Each records the exact
+configuration, seed and package version, so their artifacts can be
+regenerated by replaying the manifest, and the BLAS core, BLAS thread
+variables and heap policy the run had; evaluate and gradcheck write none.
+Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric error or
+failed check.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def _version_string():
     return f"uception-{__version__}"
 
 
-def write_manifest(out_dir, command, config, seed, outputs, started):
+def write_manifest(path, command, config, seed, outputs, started):
     manifest = {
         "command": command,
         "config": config,
@@ -86,7 +87,6 @@ def write_manifest(out_dir, command, config, seed, outputs, started):
         "blas_threads": {var: os.environ.get(var) for var in host.BLAS_THREAD_VARS},
         "heap_policy": host.HEAP_POLICY,
     }
-    path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -117,7 +117,8 @@ def cmd_phantom(args):
         "noise": args.noise, "n_train": args.n_train, "n_val": args.n_val,
         "n_test": args.n_test,
     }
-    write_manifest(args.out, "phantom", config, args.seed, outputs, started)
+    write_manifest(os.path.join(args.out, "manifest.json"), "phantom", config, args.seed,
+                   outputs, started)
     print(f"wrote {len(outputs)} files to {args.out}")
     return EXIT_OK
 
@@ -232,7 +233,7 @@ def cmd_train(args):
     outputs = [summary["paths"]["last"], summary["paths"]["avg"],
                summary["paths"]["log"], summary["paths"]["state"]]
     outputs += summary["paths"]["snapshots"]
-    write_manifest(args.out, "train",
+    write_manifest(os.path.join(args.out, "manifest.json"), "train",
                    {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
                    cfg.seed, outputs, started)
     print(f"final val loss {summary['val_history'][-1]:.4f}; "
@@ -263,10 +264,10 @@ def cmd_segment(args):
                                              mask_iso.shape, (1.0, 1.0, 1.0))
     mask = mask_iso[np.ix_(idz, idy, idx)]
     out_vol = Volume(mask, volume.spacing)
-    out_dir = os.path.dirname(os.path.abspath(args.out_mask)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out_mask)), exist_ok=True)
     save_metaimage(out_vol, args.out_mask, "MET_UCHAR")
-    write_manifest(out_dir, "segment",
+    # beside the mask, so a run directory's manifest.json stays that run's
+    write_manifest(f"{args.out_mask}.manifest.json", "segment",
                    {"checkpoint": args.checkpoint, "volume": args.volume,
                     "threshold": args.threshold, "patch": args.patch},
                    0, [args.out_mask], started)

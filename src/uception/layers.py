@@ -4,7 +4,9 @@ A layer owns its parameters (named, stable across builds) but never owns
 activations: ``forward`` returns ``(output, cache)`` and ``backward``
 consumes that cache, so a built graph stays read-only during the forward
 pass and can be shared across threads for inference. Each Conv3d stores
-its parameter gradients in the ``grads`` dict passed to ``backward``.
+its parameter gradients in the ``grads`` dict passed to ``backward``, and
+allocates its parameters on first use: a tree is built and counted
+(``parameter_count``) from its ConvSpecs without any parameter memory.
 
 Two containers build every tree: Chain runs its members in sequence and
 Concat runs them side by side on one input, joining their outputs on the
@@ -19,6 +21,8 @@ A TRAIN cache keeps what its backward reads and no more: ReLU and Dropout
 keep a bool mask, 1 byte per voxel, not a float array.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,11 +62,22 @@ def back(layer, grad_out, cache, grads):
 
 
 class Conv3d:
+    """A convolution whose weights ``w`` and bias ``b`` are allocated
+    together, zeroed, on first use; until then it is its spec alone."""
+
     def __init__(self, name, spec: ConvSpec, dtype=np.float32):
         self.name = name
         self.spec = spec
-        self.w = np.zeros(spec.weight_shape(), dtype=dtype)
-        self.b = np.zeros(spec.out_channels, dtype=dtype)
+        self.dtype = dtype
+
+    def __getattr__(self, attr):
+        # reached only while w and b are unset; both are set at once, so a
+        # layer holds either neither or both
+        if attr not in ("w", "b"):
+            raise AttributeError(attr)
+        self.w = np.zeros(self.spec.weight_shape(), dtype=self.dtype)
+        self.b = np.zeros(self.spec.out_channels, dtype=self.dtype)
+        return getattr(self, attr)
 
     def init_params(self, rng):
         # He fan-in initialization, zero bias
@@ -211,6 +226,13 @@ def parameters(root):
                     raise ShapeError(f"duplicate parameter name {name}")
                 out[name] = arr
     return out
+
+
+def parameter_count(root):
+    """Weights and biases of every Conv3d under root, counted from the
+    specs alone: nothing is allocated."""
+    return sum(math.prod(layer.spec.weight_shape()) + layer.spec.out_channels
+               for layer in walk(root) if isinstance(layer, Conv3d))
 
 
 def init_params(root, rng):

@@ -5,6 +5,10 @@ the training config shares, and the binary checkpoint format.
 
 A model is a ``layers.Chain`` whose skip connections are two-member
 ``layers.Concat`` layers, so it runs, and is walked, like any other layer.
+That tree is the only description of a network: parameter counts, the
+U-net's width match and the checkpoint reader's size check all walk it.
+Its convs allocate their parameters on first use, so building and counting
+a model takes no parameter memory.
 
 Checkpoint layout (version 1, all integers little-endian):
 
@@ -22,6 +26,7 @@ Checkpoint layout (version 1, all integers little-endian):
 """
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import struct
@@ -73,53 +78,6 @@ class UceptionCfg:
         if patch < 1 or patch % 2 ** self.levels:
             raise ConfigError(f"patch extent {patch} is not a positive multiple of "
                               f"2^levels = {2 ** self.levels}")
-
-
-def _uception_conv_geometry(cfg: UceptionCfg):
-    """(kernel, in, out) for every conv a Uception owns, in build order."""
-    def deep(ch, d):  # DeepBlock branches a, b, c, d
-        return [(1, ch, d), (1, ch, d), (5, d, d), (1, ch, d), (7, d, d), (1, ch, d)]
-
-    d = cfg.base_depth
-    yield 3, cfg.input_channels, d
-    ch = d
-    for lv in range(cfg.levels):
-        dl = d * 2 ** lv
-        yield from deep(ch, dl)
-        yield from [(3, 4 * dl, dl), (1, 4 * dl, dl), (3, dl, dl)]  # ReductionBlock b, c
-        ch = 6 * dl
-    yield from deep(ch, d * 2 ** cfg.levels)
-    for lv in reversed(range(cfg.levels)):
-        dl = d * 2 ** lv
-        yield from deep(12 * dl, dl)  # upsampled 8 * dl plus the 4 * dl skip
-    yield 1, 4 * d, cfg.output_channels
-
-
-def _unet_conv_geometry(cfg: UceptionCfg, width, bottleneck_width):
-    """(kernel, in, out) for every conv a UNet3d of these widths would own."""
-    ch = cfg.input_channels
-    for lv in range(cfg.levels):
-        w = width * 2 ** lv
-        yield from [(3, ch, w), (3, w, w)]
-        ch = w
-    yield from [(3, ch, bottleneck_width), (3, bottleneck_width, bottleneck_width)]
-    ch = bottleneck_width
-    for lv in reversed(range(cfg.levels)):
-        w = width * 2 ** lv
-        yield from [(3, ch + w, w), (3, w, w)]
-        ch = w
-    yield 1, ch, cfg.output_channels
-
-
-def _conv_param_count(specs, limit=None):
-    """Weights and biases of the convs in specs; with a limit, the count
-    stops as soon as it passes it."""
-    total = 0
-    for k, i, o in specs:
-        total = total + k ** 3 * i * o + o
-        if limit is not None and total > limit:
-            break
-    return total
 
 
 class _Input:
@@ -216,7 +174,7 @@ class _ModelBase(Chain):
         return layers.parameters(self)
 
     def parameter_count(self):
-        return sum(int(p.size) for p in self.parameters().values())
+        return layers.parameter_count(self)
 
     def set_parameters(self, values):
         params = self.parameters()
@@ -247,7 +205,6 @@ class Uception(_ModelBase):
     """
 
     kind = "uception"
-    conv_geometry = staticmethod(_uception_conv_geometry)
 
     def __init__(self, cfg: UceptionCfg, dtype=np.float32):
         d, r = cfg.base_depth, cfg.dropout_rate
@@ -271,13 +228,12 @@ class UNet3d(_ModelBase):
 
     kind = "unet3d"
     record_fields = {"width": int, "bottleneck_width": int}
-    conv_geometry = staticmethod(_unet_conv_geometry)
 
     def __init__(self, cfg: UceptionCfg, width=None, bottleneck_width=None,
                  dtype=np.float32):
         if width is None:
             width, bottleneck_width = match_unet_widths(
-                cfg, _conv_param_count(_uception_conv_geometry(cfg)))
+                cfg, Uception(cfg).parameter_count())
         self.width = int(width)
         self.bottleneck_width = int(bottleneck_width)
         r = cfg.dropout_rate
@@ -306,26 +262,27 @@ def match_unet_widths(cfg: UceptionCfg, target_params):
     """Pick (width, bottleneck_width) whose parameter count lands nearest
     the target; the bottleneck width is the fine-tuning knob.
 
-    The count rises strictly in both widths, so a scan stops once the count
-    is past the target by the best error so far: no later pair can beat it,
-    and ties never replace the first pair found.
+    The count rises strictly in both widths. So per width a bisection finds
+    the first bottleneck width at or past the target, and only it and the
+    one before can be nearest; the scan over widths stops once the smallest
+    pair of a width is past the target by the best error so far. Ties keep
+    the first pair in (width, bottleneck width) order.
     """
     def count(w, wb):
-        return _conv_param_count(_unet_conv_geometry(cfg, w, wb))
+        return UNet3d(cfg, w, wb).parameter_count()
 
     best = None  # (error, width, bottleneck width)
     for w in range(1, 257):
         nominal = w * 2 ** cfg.levels
         lo = max(1, nominal // 2)
-        hi = max(lo + 1, nominal * 2)
+        wbs = range(lo, max(lo + 1, nominal * 2) + 1)
         if best is not None and count(w, lo) - target_params >= best[0]:
             break
-        for wb in range(lo, hi + 1):
-            err = count(w, wb) - target_params
-            if best is None or abs(err) < best[0]:
-                best = (abs(err), w, wb)
-            elif err >= best[0]:
-                break
+        first = bisect.bisect_left(wbs, target_params, key=lambda wb: count(w, wb))
+        for wb in wbs[max(0, first - 1):first + 1]:  # the last short, the first not
+            err = abs(count(w, wb) - target_params)
+            if best is None or err < best[0]:
+                best = (err, w, wb)
     _, w, wb = best
     return w, wb
 
@@ -378,20 +335,26 @@ _RECORD_TYPES = {"kind": str,
 
 def _model_from_record(blob, dtype, budget):
     """The unloaded model a config record describes. It is refused before
-    it is built when its parameters need more than the ``budget`` bytes the
-    file has left; every fault is CheckpointError."""
+    any parameter is allocated when its parameters need more than the
+    ``budget`` bytes the file has left; every fault is CheckpointError."""
     try:
         got = read_record(blob.decode("utf-8"), _RECORD_TYPES)
         cls = KINDS.get(got.get("kind"))
         if cls is None:
             raise CheckpointError(f"unknown model kind {got.get('kind')!r}")
         cfg = UceptionCfg(**{f: got[k] for k, f in CFG_KEYS.items()})
-        fields = {k: got[k] for k in cls.record_fields}
-        count = _conv_param_count(cls.conv_geometry(cfg, **fields), limit=budget // 4)
+        # every model of L levels holds at least 4^L parameters (its deepest
+        # convs have 2^L-fold widths), 2^(2L + 2) bytes; bounding L first keeps
+        # a huge one from building a tree of that many levels
+        if 2 * cfg.levels + 2 >= budget.bit_length():
+            raise CheckpointError(f"config record implies at least 4^{cfg.levels} "
+                                  f"parameters, but {budget} bytes follow it")
+        model = cls(cfg, dtype=dtype, **{k: got[k] for k in cls.record_fields})
+        count = model.parameter_count()
         if 4 * count > budget:
             raise CheckpointError(f"config record implies at least {count} parameters "
                                   f"({4 * count} bytes), but {budget} bytes follow it")
-        return cls(cfg, dtype=dtype, **fields)
+        return model
     except (UnicodeDecodeError, KeyError, ConfigError, ShapeError) as exc:
         raise CheckpointError(f"bad checkpoint config record "
                               f"({type(exc).__name__}: {exc})") from exc

@@ -196,19 +196,22 @@ def write_phantom_dataset(out_dir, n_train, n_val, n_test, spec=None):
     if n_train == 0:
         raise DataError("dataset needs at least one training volume")
     spec = spec or PhantomSpec()
-    os.makedirs(out_dir, exist_ok=True)
-    written = {}
+    # every volume is generated before anything is written, so a volume
+    # that breaks the sparsity bound leaves no directory behind
+    volumes = {}
     for split_idx, (split, count) in enumerate(
             (("train", n_train), ("val", n_val), ("test", n_test))):
-        paths = []
-        for i in range(count):
-            sub = replace(spec, seed=int(np.random.SeedSequence(
-                [int(spec.seed), split_idx, i]).generate_state(1)[0]))
-            image, truth = generate_phantom(sub)
+        seeds = (np.random.SeedSequence([int(spec.seed), split_idx, i]).generate_state(1)[0]
+                 for i in range(count))
+        volumes[split] = [generate_phantom(replace(spec, seed=int(seed))) for seed in seeds]
+    os.makedirs(out_dir, exist_ok=True)
+    written = {}
+    for split, pairs in volumes.items():
+        written[split] = []
+        for i, (image, truth) in enumerate(pairs):
             img_path = os.path.join(out_dir, f"{split}_{i:03d}_img.mha")
             seg_path = os.path.join(out_dir, f"{split}_{i:03d}_seg.mha")
             save_metaimage(image, img_path, "MET_FLOAT")
             save_metaimage(truth, seg_path, "MET_UCHAR")
-            paths.append((img_path, seg_path))
-        written[split] = paths
+            written[split].append((img_path, seg_path))
     return written

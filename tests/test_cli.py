@@ -1,4 +1,5 @@
 """Command-line surface: subcommands, exit codes, manifests, resume."""
+import json
 import os
 import struct
 
@@ -132,6 +133,7 @@ class TestPhantomCommand:
         code = main(["phantom", "--out", str(tmp_path / "x"), "--extents", "24"])
         assert code == EXIT_CONFIG
         assert "sparsity bound" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrainCommand:
@@ -271,6 +273,22 @@ class TestSegmentCommand:
         assert code == EXIT_OK
         mask, _ = load_metaimage(str(out))
         assert not mask.data.any()
+
+    def test_segmenting_into_a_run_keeps_its_manifest(self, tmp_path, tiny_data):
+        # README step 3 writes the mask into the training run's directory
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path), "--data", tiny_data,
+                     "--out", str(run)]) == EXIT_OK
+        mask = run / "test_000_mask.mha"
+        code = main(["segment", "--checkpoint", str(run / "model_avg.ucpt"), "--volume",
+                     os.path.join(tiny_data, "test_000_img.mha"), "--out-mask", str(mask),
+                     "--patch", "8"])
+        assert code == EXIT_OK
+        assert read_manifest(str(run))["command"] == "train"
+        with open(f"{mask}.manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert manifest["command"] == "segment"
+        assert manifest["outputs"] == [str(mask)]
 
     def test_volume_without_positive_peak_exits_numeric(self, tmp_path, capsys):
         ckpt = self.make_checkpoint(tmp_path)

@@ -32,9 +32,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 MANIFEST_POLICY = """
-import json, sys
+import json, os, sys
 from uception.cli import write_manifest
-with open(write_manifest(sys.argv[1], "phantom", {}, 0, [], ""), encoding="utf-8") as fh:
+path = os.path.join(sys.argv[1], "manifest.json")
+with open(write_manifest(path, "phantom", {}, 0, [], ""), encoding="utf-8") as fh:
     print(json.dumps(json.load(fh)["heap_policy"]))
 """
 

@@ -18,9 +18,6 @@ from uception.models import (
     UceptionCfg,
     UNet3d,
     Uception,
-    _conv_param_count,
-    _uception_conv_geometry,
-    _unet_conv_geometry,
     build_uception,
     build_unet3d_baseline,
     load_checkpoint,
@@ -59,12 +56,43 @@ def uception_tally(depth, levels, in_ch=1, out_ch=1):
     return total
 
 
+def unet_tally(width, bottleneck_width, levels, in_ch=1, out_ch=1):
+    """Independent per-layer hand tally of the U-net definition; the widths
+    may be integer arrays, which broadcast."""
+    total, ch = 0, in_ch
+    for lv in range(levels):
+        w = width * 2 ** lv
+        total = total + conv_params(3, ch, w) + conv_params(3, w, w)
+        ch = w
+    wb = bottleneck_width
+    total = total + conv_params(3, ch, wb) + conv_params(3, wb, wb)
+    ch = wb
+    for lv in reversed(range(levels)):
+        w = width * 2 ** lv
+        total = total + conv_params(3, ch + w, w) + conv_params(3, w, w)  # upsampled + skip
+        ch = w
+    return total + conv_params(1, ch, out_ch)
+
+
 class TestUception:
     def test_parameter_count_matches_hand_tally(self):
-        for depth, levels in ((10, 3), (4, 2), (2, 1)):
-            cfg = UceptionCfg(base_depth=depth, levels=levels)
+        for depth, levels, in_ch, out_ch in ((10, 3, 1, 1), (4, 2, 1, 1), (2, 1, 1, 1),
+                                             (3, 2, 2, 3), (5, 1, 1, 2)):
+            cfg = UceptionCfg(base_depth=depth, levels=levels, input_channels=in_ch,
+                              output_channels=out_ch)
             model = Uception(cfg)
-            assert model.parameter_count() == uception_tally(depth, levels)
+            assert model.parameter_count() == uception_tally(depth, levels, in_ch, out_ch)
+
+    def test_building_allocates_no_parameter(self):
+        # 1.3e12 parameters: a tree is built and counted from its specs alone
+        tracemalloc.start()
+        try:
+            count = Uception(UceptionCfg(base_depth=10_000, levels=2)).parameter_count()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == uception_tally(10_000, 2)
+        assert peak < 1_000_000
 
     def test_seeded_builds_are_bit_identical(self):
         cfg = UceptionCfg(base_depth=2, levels=1)
@@ -206,6 +234,11 @@ class TestParameterWalk:
 
         assert [conv for _, stage in model._stages for conv in convs(stage)] == convs(model)
 
+    @pytest.mark.parametrize("build", [build_uception, build_unet3d_baseline])
+    def test_count_is_the_size_of_the_allocated_parameters(self, build):
+        model = build(UceptionCfg(base_depth=4, levels=2), seed=0)
+        assert model.parameter_count() == sum(p.size for p in model.parameters().values())
+
     @pytest.mark.parametrize("cls", [Uception, UNet3d])
     def test_a_dropped_model_is_freed_at_once(self, cls):
         # no reference cycle: its arrays go when the last reference does,
@@ -225,6 +258,15 @@ class TestParameterWalk:
 
 
 class TestUnetBaseline:
+    @pytest.mark.parametrize("depth,levels,in_ch,out_ch", [
+        (2, 1, 1, 1), (4, 2, 1, 1), (3, 2, 2, 3), (5, 1, 1, 2)])
+    def test_parameter_count_matches_hand_tally(self, depth, levels, in_ch, out_ch):
+        cfg = UceptionCfg(base_depth=depth, levels=levels, input_channels=in_ch,
+                          output_channels=out_ch)
+        for w, wb in ((1, 1), (2, 7), (5, 3), (11, 56)):
+            assert (UNet3d(cfg, w, wb).parameter_count()
+                    == unet_tally(w, wb, levels, in_ch, out_ch)), (w, wb)
+
     @pytest.mark.parametrize("depth,levels", [(10, 3), (4, 2), (2, 1)])
     def test_capacity_within_ten_percent(self, depth, levels):
         cfg = UceptionCfg(base_depth=depth, levels=levels)
@@ -251,7 +293,8 @@ def exhaustive_unet_widths(cfg, target):
     lo = np.maximum(1, nominal // 2)
     hi = np.maximum(lo + 1, nominal * 2)
     wb = np.arange(1, hi.max() + 1, dtype=np.int64)[None, :]
-    err = np.abs(_conv_param_count(_unet_conv_geometry(cfg, w, wb)) - target)
+    err = np.abs(unet_tally(w, wb, cfg.levels, cfg.input_channels, cfg.output_channels)
+                 - target)
     err = np.where((wb >= lo) & (wb <= hi), err, np.iinfo(np.int64).max)
     i, j = np.unravel_index(np.argmin(err), err.shape)
     return int(w[i, 0]), int(wb[0, j])
@@ -272,29 +315,9 @@ class TestMatchUnetWidths:
         # one below the smallest pair of width 5 is nearest to that pair,
         # though its count is already past the target
         lo5 = max(1, 5 * 2 ** levels // 2)
-        near5 = _conv_param_count(_unet_conv_geometry(cfg, 5, lo5)) - 1
+        near5 = unet_tally(5, lo5, levels, in_ch, out_ch) - 1
         for target in (Uception(cfg).parameter_count(), 1, near5, 3_000_000):
             assert match_unet_widths(cfg, target) == exhaustive_unet_widths(cfg, target)
-
-    @pytest.mark.parametrize("depth,levels,in_ch,out_ch", [
-        (2, 1, 1, 1), (4, 2, 1, 1), (3, 2, 2, 3), (5, 1, 1, 2)])
-    def test_geometry_counts_what_unet3d_builds(self, depth, levels, in_ch, out_ch):
-        """The matcher sizes the U-net from _unet_conv_geometry alone."""
-        cfg = UceptionCfg(base_depth=depth, levels=levels, input_channels=in_ch,
-                          output_channels=out_ch)
-        for w, wb in ((1, 1), (2, 7), (5, 3), (11, 56)):
-            assert (_conv_param_count(_unet_conv_geometry(cfg, w, wb))
-                    == UNet3d(cfg, w, wb).parameter_count()), (w, wb)
-
-
-    @pytest.mark.parametrize("depth,levels,in_ch,out_ch", [
-        (2, 1, 1, 1), (4, 2, 1, 1), (3, 2, 2, 3), (5, 1, 1, 2), (10, 3, 1, 1)])
-    def test_geometry_counts_what_uception_builds(self, depth, levels, in_ch, out_ch):
-        """The checkpoint reader bounds a record by _uception_conv_geometry."""
-        cfg = UceptionCfg(base_depth=depth, levels=levels, input_channels=in_ch,
-                          output_channels=out_ch)
-        assert (_conv_param_count(_uception_conv_geometry(cfg))
-                == Uception(cfg).parameter_count())
 
 
 def with_record(blob, old, new):
