@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -93,6 +94,13 @@ def write_manifest(path, command, config, seed, outputs, started):
     return path
 
 
+def _refuse_used_out(out_dir):
+    """A run writes into an --out of its own: one that exists and holds
+    files is refused before anything is touched."""
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise ConfigError(f"--out {out_dir} is not empty; give a new directory")
+
+
 def read_manifest(out_dir):
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         return json.load(fh)
@@ -104,13 +112,10 @@ def read_manifest(out_dir):
 
 def cmd_phantom(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    try:
-        spec = PhantomSpec(extents=(args.extents,) * 3, tubes=args.tubes,
-                           blobs=args.blobs, noise=args.noise, seed=args.seed)
-        written = write_phantom_dataset(args.out, args.n_train, args.n_val, args.n_test,
-                                        spec)
-    except (ShapeError, DataError) as exc:  # every one comes from a flag: a bad config
-        raise ConfigError(str(exc)) from exc
+    _refuse_used_out(args.out)
+    spec = PhantomSpec(extents=(args.extents,) * 3, tubes=args.tubes,
+                       blobs=args.blobs, noise=args.noise, seed=args.seed)
+    written = write_phantom_dataset(args.out, args.n_train, args.n_val, args.n_test, spec)
     outputs = [p for pair_list in written.values() for pair in pair_list for p in pair]
     config = {
         "extents": args.extents, "tubes": args.tubes, "blobs": args.blobs,
@@ -139,9 +144,12 @@ def _truncate_log(log_path, epoch_done):
     crash between the two leaves a row the resumed run writes again. The
     header and the rows of epochs up to epoch_done are kept.
     """
-    with open(log_path, encoding="utf-8") as fh:
-        rows = [line for line in fh if not line.startswith("#")
-                and int(line.split("\t", 1)[0]) <= epoch_done]
+    try:
+        with open(log_path, encoding="utf-8") as fh:
+            rows = [line for line in fh if not line.startswith("#")
+                    and int(line.split("\t", 1)[0]) <= epoch_done]
+    except ValueError as exc:  # a row without an epoch number, or bytes that are not text
+        raise CheckpointError(f"{log_path}: not a training log ({exc})") from exc
     tmp = f"{log_path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(_LOG_HEADER)
@@ -150,13 +158,21 @@ def _truncate_log(log_path, epoch_done):
 
 
 def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
-    """Drive the full training loop; returns a summary dict."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Drive the full training loop; returns a summary dict. The data is
+    loaded and checked before out_dir is made or written."""
+    if not resume:
+        _refuse_used_out(out_dir)
     splits = load_dataset(data_dir)
     if not splits["val"]:
         raise DataError("training needs at least one validation volume")
     train_set = [preprocess_pair(img, seg)[:2] for _, img, seg in splits["train"]]
     val_set = [preprocess_pair(img, seg)[:2] for _, img, seg in splits["val"]]
+    # validation volumes are tiled, so only training volumes must hold a patch
+    for (name, _, _), (image, _) in zip(splits["train"], train_set):
+        if min(image.shape) < cfg.patch:
+            raise ConfigError(f"patch {cfg.patch} does not fit training volume {name}, "
+                              f"{image.shape} voxels at 1 mm")
+    os.makedirs(out_dir, exist_ok=True)
 
     model = build_model_from_config(cfg)
     adam = AdamState(lr=cfg.lr_max)
@@ -221,7 +237,7 @@ def run_training(cfg: TrainConfig, data_dir, out_dir, resume=False, echo=print):
         "avg_val_loss": avg_val,
         "worst_snapshot_loss": snap.worst_loss,
         "paths": {"last": last_path, "avg": avg_path, "snapshots": snap_paths,
-                  "log": log_path, "state": state_path},
+                  "log": log_path, "state": state_path, "config": config_snapshot},
     }
 
 
@@ -230,9 +246,9 @@ def cmd_train(args):
     with open(args.config, encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     summary = run_training(cfg, args.data, args.out, resume=args.resume)
-    outputs = [summary["paths"]["last"], summary["paths"]["avg"],
-               summary["paths"]["log"], summary["paths"]["state"]]
-    outputs += summary["paths"]["snapshots"]
+    paths = summary["paths"]
+    outputs = [paths[k] for k in ("last", "avg", "log", "state", "config")]
+    outputs += paths["snapshots"]
     write_manifest(os.path.join(args.out, "manifest.json"), "train",
                    {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
                    cfg.seed, outputs, started)
@@ -248,6 +264,9 @@ def cmd_train(args):
 
 def cmd_segment(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    # a value above 1 selects no voxel, which is allowed
+    if not 0.0 <= args.threshold < math.inf:
+        raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     model = load_checkpoint(args.checkpoint)
     volume, header = load_metaimage(args.volume)
     if not header.spacing_present:
@@ -265,12 +284,12 @@ def cmd_segment(args):
     mask = mask_iso[np.ix_(idz, idy, idx)]
     out_vol = Volume(mask, volume.spacing)
     os.makedirs(os.path.dirname(os.path.abspath(args.out_mask)), exist_ok=True)
-    save_metaimage(out_vol, args.out_mask, "MET_UCHAR")
+    outputs = save_metaimage(out_vol, args.out_mask, "MET_UCHAR")
     # beside the mask, so a run directory's manifest.json stays that run's
     write_manifest(f"{args.out_mask}.manifest.json", "segment",
                    {"checkpoint": args.checkpoint, "volume": args.volume,
                     "threshold": args.threshold, "patch": args.patch},
-                   0, [args.out_mask], started)
+                   0, outputs, started)
     print(f"wrote mask {args.out_mask} ({int(mask.sum())} foreground voxels)")
     return EXIT_OK
 
@@ -285,6 +304,9 @@ def _load_mask(path):
 
 
 def cmd_evaluate(args):
+    if not 0.0 <= args.baseline_fraction <= 1.0:
+        raise ConfigError(f"--baseline-fraction must be in [0, 1], got "
+                          f"{args.baseline_fraction}")
     for what, paths in (("predictions", args.pred), ("images", args.image)):
         if paths and len(paths) != len(args.truth):
             raise DataError(f"unpaired file sets: {len(paths)} {what} vs "

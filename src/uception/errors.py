@@ -22,7 +22,10 @@ class NumericError(UceptionError):
 
 
 class ConfigError(UceptionError):
-    """Invalid or unknown configuration keys/values."""
+    """A setting is unknown or out of range: raised by the settings types
+    themselves (TrainConfig, UceptionCfg, CyclicSchedule, SnapshotSet,
+    PhantomSpec) wherever they are built, and by the CLI for a flag or an
+    --out it refuses. The CLI exits 2 on it."""
 
 
 class DataError(UceptionError):

@@ -61,12 +61,12 @@ class UceptionCfg:
 
     def __post_init__(self):
         if self.levels < 1:
-            raise ShapeError(f"levels must be >= 1, got {self.levels}")
+            raise ConfigError(f"levels must be >= 1, got {self.levels}")
         if self.base_depth < 1:
-            raise ShapeError(f"depth (base_depth) must be >= 1, got {self.base_depth}")
+            raise ConfigError(f"depth (base_depth) must be >= 1, got {self.base_depth}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ShapeError(f"dropout (dropout_rate) must be in [0, 1), "
-                             f"got {self.dropout_rate}")
+            raise ConfigError(f"dropout (dropout_rate) must be in [0, 1), "
+                              f"got {self.dropout_rate}")
 
     @classmethod
     def from_record(cls, values):
@@ -299,8 +299,7 @@ def build_unet3d_baseline(cfg: UceptionCfg, seed=0, dtype=np.float32):
 
 def read_record(text, types):
     """'key = value' lines -> {key: value cast by types[key]}; '#' starts a comment,
-    a repeated key keeps its last value, an unknown key lists the valid ones and
-    a float must be finite."""
+    a repeated key keeps its last value and an unknown key lists the valid ones."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -317,8 +316,6 @@ def read_record(text, types):
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
                               f"{types[key].__name__}") from exc
-        if types[key] is float and not math.isfinite(values[key]):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
     return values
 
 

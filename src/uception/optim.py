@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 
 # Adam's moment decay rates and denominator floor. They are constants, so a
@@ -73,9 +73,9 @@ class CyclicSchedule:
 
     def __post_init__(self):
         if self.lr_max < self.lr_min:
-            raise ShapeError(f"lr_min must be <= lr_max, got {self.lr_min} > {self.lr_max}")
+            raise ConfigError(f"lr_min must be <= lr_max, got {self.lr_min} > {self.lr_max}")
         if self.cycle_epochs < 1:
-            raise ShapeError("cycle_epochs must be >= 1")
+            raise ConfigError(f"cycle_epochs must be >= 1, got {self.cycle_epochs}")
 
 
 def cyclic_lr(schedule: CyclicSchedule, epoch):

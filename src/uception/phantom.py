@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError
 from .preprocess import trilinear_blend
 from .volume import Volume, save_metaimage
 
@@ -50,21 +50,21 @@ class PhantomSpec:
 
     def __post_init__(self):
         if len(self.extents) != 3 or any(int(e) < 8 for e in self.extents):
-            raise ShapeError(f"phantom extents must be 3 values >= 8, got {self.extents}")
+            raise ConfigError(f"phantom extents must be 3 values >= 8, got {self.extents}")
         for name, least in (("tubes", 1), ("blobs", 0), ("seed", 0)):
             if getattr(self, name) < least:
-                raise ShapeError(f"phantom {name} must be >= {least}, got {getattr(self, name)}")
+                raise ConfigError(f"phantom {name} must be >= {least}, got {getattr(self, name)}")
         for name in ("noise", "radius_range", "spacing"):
             values = np.asarray(getattr(self, name), dtype=np.float64)
             strict = name != "noise"
             if not (np.isfinite(values) & (values > 0 if strict else values >= 0)).all():
-                raise ShapeError(f"phantom {name} must be finite and {'>' if strict else '>='}"
-                                 f" 0, got {getattr(self, name)}")
+                raise ConfigError(f"phantom {name} must be finite and {'>' if strict else '>='}"
+                                  f" 0, got {getattr(self, name)}")
         lo, hi = self.radius_range
         if not lo <= hi:
-            raise ShapeError(f"bad phantom radius_range {self.radius_range}")
+            raise ConfigError(f"bad phantom radius_range {self.radius_range}")
         if len(self.spacing) != 3:
-            raise ShapeError(f"phantom spacing must be 3 values, got {self.spacing}")
+            raise ConfigError(f"phantom spacing must be 3 values, got {self.spacing}")
 
 
 def _stamp_ball(grid, center, radius, value):
@@ -171,7 +171,7 @@ def generate_phantom(spec: PhantomSpec):
         _stamp_ball(structures, center, radius, rng.uniform(0.98, 1.02))
     fg = truth.mean()
     if fg >= MAX_FOREGROUND:
-        raise DataError(
+        raise ConfigError(
             f"phantom foreground fraction {fg:.3f} violates sparsity bound "
             f"{MAX_FOREGROUND}"
         )
@@ -192,9 +192,9 @@ def write_phantom_dataset(out_dir, n_train, n_val, n_test, spec=None):
     Returns the written paths keyed by split.
     """
     if min(n_train, n_val, n_test) < 0 or n_train + n_val + n_test == 0:
-        raise DataError("dataset needs a positive number of volumes")
+        raise ConfigError("dataset needs a positive number of volumes")
     if n_train == 0:
-        raise DataError("dataset needs at least one training volume")
+        raise ConfigError("dataset needs at least one training volume")
     spec = spec or PhantomSpec()
     # every volume is generated before anything is written, so a volume
     # that breaks the sparsity bound leaves no directory behind

@@ -8,9 +8,10 @@ one without serializing generator state.
 """
 from __future__ import annotations
 
+import math
 import os
 import zipfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,29 +44,32 @@ class TrainConfig:
     patches_per_epoch: int = 0  # 0 = two per training volume
     mode: str = "f32"
 
+    def __post_init__(self):
+        """Every setting's range, however the config was made; a message
+        starts with the key as a config file spells it."""
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+        if self.model not in KINDS:
+            raise ConfigError(f"model must be one of {sorted(KINDS)}, got {self.model!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
+        for key, least in (("batch", 1), ("epochs", 1), ("seed", 0), ("smooth", 0),
+                           ("lr_min", 0), ("patches_per_epoch", 0), ("min_fg_frac", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        UceptionCfg.from_record(vars(self)).check_patch(self.patch)
+        CyclicSchedule(self.lr_max, self.lr_min, self.cycle_epochs)
+        SnapshotSet(self.snapshots)
 
-_CONFIG_TYPES = {f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)}
+
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def parse_config(text) -> TrainConfig:
-    """Parse 'key = value' lines; unknown keys list the valid ones, and a
-    setting out of range raises ConfigError."""
-    cfg = replace(TrainConfig(), **read_record(text, _CONFIG_TYPES))
-    if cfg.model not in KINDS:
-        raise ConfigError(f"model must be one of {sorted(KINDS)}, got {cfg.model!r}")
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {sorted(MODES)}, got {cfg.mode!r}")
-    for key, least in (("batch", 1), ("epochs", 1), ("seed", 0), ("smooth", 0),
-                       ("lr_min", 0), ("patches_per_epoch", 0), ("min_fg_frac", 0)):
-        if getattr(cfg, key) < least:
-            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
-    try:  # the model, schedule and snapshot settings carry their own range checks
-        UceptionCfg.from_record(vars(cfg)).check_patch(cfg.patch)
-        CyclicSchedule(cfg.lr_max, cfg.lr_min, cfg.cycle_epochs)
-        SnapshotSet(cfg.snapshots)
-    except ShapeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    """Parse 'key = value' lines; unknown keys list the valid ones, and
+    TrainConfig checks the values."""
+    return TrainConfig(**read_record(text, _CONFIG_TYPES))
 
 
 def format_config(cfg: TrainConfig):
@@ -204,7 +208,7 @@ class SnapshotSet:
 
     def __init__(self, capacity=5):
         if capacity < 1:
-            raise ShapeError(f"snapshots (capacity) must be >= 1, got {capacity}")
+            raise ConfigError(f"snapshots (capacity) must be >= 1, got {capacity}")
         self.capacity = capacity
         self.entries = []  # (val_loss, epoch, params dict)
         self.history = []

@@ -203,7 +203,8 @@ def write_metaimage(volume, element_type="MET_FLOAT"):
 
 
 def save_metaimage(volume, path, element_type="MET_FLOAT"):
-    """Write .mha (LOCAL) or .mhd plus a sibling .raw, chosen by extension."""
+    """Write .mha (LOCAL) or .mhd plus a sibling .raw, chosen by extension;
+    returns the paths written."""
     path = os.fspath(path)
     if path.endswith(".mhd"):
         raw_name = os.path.basename(path)[:-4] + ".raw"
@@ -213,12 +214,13 @@ def save_metaimage(volume, path, element_type="MET_FLOAT"):
         header, payload = _encode(volume, element_type, raw_name)
         with open(path, "wb") as fh:
             fh.write(header)
-        with open(os.path.join(os.path.dirname(path) or ".", raw_name), "wb") as fh:
+        raw_path = os.path.join(os.path.dirname(path), raw_name)
+        with open(raw_path, "wb") as fh:
             fh.write(payload)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(write_metaimage(volume, element_type))
-    return path
+        return [path, raw_path]
+    with open(path, "wb") as fh:
+        fh.write(write_metaimage(volume, element_type))
+    return [path]
 
 
 def load_metaimage(path):

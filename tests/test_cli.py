@@ -104,6 +104,8 @@ class TestPhantomCommand:
         assert manifest["seed"] == 3
         assert manifest["blas_core"] and set(manifest["blas_threads"]) == set(BLAS_THREAD_VARS)
         assert "heap_policy" in manifest
+        assert sorted(manifest["outputs"]) == [str(out / f) for f in files
+                                               if f != "manifest.json"]
 
     def test_rerun_same_seed_identical_files(self, tmp_path):
         outs = []
@@ -128,6 +130,15 @@ class TestPhantomCommand:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "x").exists()
 
+    def test_used_out_is_refused(self, tmp_path):
+        out = tmp_path / "ds"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        code = main(["phantom", "--out", str(out), "--n-train", "1", "--n-val", "0",
+                     "--n-test", "0", "--extents", "16", "--tubes", "1"])
+        assert code == EXIT_CONFIG
+        assert os.listdir(out) == ["notes.txt"]
+
     def test_foreground_bound_is_config_error(self, tmp_path, capsys):
         # 24-cube volumes with the default three tubes break the 5 % bound
         code = main(["phantom", "--out", str(tmp_path / "x"), "--extents", "24"])
@@ -149,6 +160,32 @@ class TestTrainCommand:
                  if not l.startswith("#")]
         assert len(lines) == 2
         assert {len(l.split("\t")) for l in lines} == {5}
+        assert sorted(read_manifest(str(out))["outputs"]) == sorted(
+            str(out / f) for f in os.listdir(out) if f != "manifest.json")
+
+    def test_used_out_is_refused(self, tmp_path, tiny_data):
+        out = tmp_path / "run"
+        config = write_config(tmp_path)
+        assert main(["train", "--config", config, "--data", tiny_data,
+                     "--out", str(out)]) == EXIT_OK
+        before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        assert main(["train", "--config", config, "--data", tiny_data,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+
+    def test_data_is_checked_before_out_is_made(self, tmp_path, tiny_data, capsys):
+        # a patch larger than the 16-cube training volumes is a config error
+        big = tmp_path / "big.cfg"
+        big.write_text(TINY_CONFIG.format(epochs=2, mode="f32").replace("patch = 8",
+                                                                        "patch = 32"))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(big), "--data", tiny_data,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "train_000_img.mha" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["train", "--config", write_config(tmp_path), "--data",
+                     str(tmp_path / "missing"), "--out", str(out)]) == EXIT_IO
+        assert not out.exists()
 
     def test_unknown_config_key_exits_config_code(self, tmp_path, tiny_data):
         cfg = tmp_path / "bad.cfg"
@@ -218,6 +255,18 @@ class TestTrainCommand:
                      "--out", str(out), "--resume"]) == EXIT_IO
         assert "train_state.npz" in capsys.readouterr().err
 
+    def test_resume_with_damaged_log_is_io_error(self, tmp_path, tiny_data, capsys):
+        out = tmp_path / "log"
+        config = write_config(tmp_path)
+        assert main(["train", "--config", config, "--data", tiny_data,
+                     "--out", str(out)]) == EXIT_OK
+        with open(out / "train_log.tsv", "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--data", tiny_data,
+                     "--out", str(out), "--resume"]) == EXIT_IO
+        assert "train_log.tsv" in capsys.readouterr().err
+
     def test_resume_with_changed_config_rejected(self, tmp_path, tiny_data, capsys):
         out = tmp_path / "rc"
         assert main(["train", "--config", write_config(tmp_path, epochs=2),
@@ -273,6 +322,25 @@ class TestSegmentCommand:
         assert code == EXIT_OK
         mask, _ = load_metaimage(str(out))
         assert not mask.data.any()
+
+    @pytest.mark.parametrize("threshold", ["nan", "-3", "inf"])
+    def test_bad_threshold_is_config_error(self, tmp_path, threshold):
+        # refused before the (missing) checkpoint or volume is read
+        code = main(["segment", "--checkpoint", str(tmp_path / "none.ucpt"), "--volume",
+                     str(tmp_path / "none.mha"), "--out-mask", str(tmp_path / "m.mha"),
+                     "--threshold", threshold])
+        assert code == EXIT_CONFIG
+
+    def test_mhd_mask_manifest_lists_both_files(self, tmp_path):
+        ckpt = self.make_checkpoint(tmp_path)
+        vol_path, _, _ = self.make_volume(tmp_path)
+        out = tmp_path / "mask.mhd"
+        assert main(["segment", "--checkpoint", ckpt, "--volume", vol_path,
+                     "--out-mask", str(out), "--patch", "8"]) == EXIT_OK
+        with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+            outputs = json.load(fh)["outputs"]
+        assert outputs == [str(out), str(tmp_path / "mask.raw")]
+        assert all(os.path.exists(p) for p in outputs)
 
     def test_segmenting_into_a_run_keeps_its_manifest(self, tmp_path, tiny_data):
         # README step 3 writes the mask into the training run's directory
@@ -384,6 +452,12 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "dice = 1.000000" in out
         assert "sensitivity = nan" in out
+
+    @pytest.mark.parametrize("fraction", ["7", "nan", "-0.1"])
+    def test_bad_baseline_fraction_is_config_error(self, tmp_path, fraction):
+        missing = str(tmp_path / "none.mha")
+        assert main(["evaluate", "--pred", missing, "--truth", missing, "--image",
+                     missing, "--baseline-fraction", fraction]) == EXIT_CONFIG
 
     def test_unpaired_sets_exit_io(self, tmp_path):
         m = self.write_mask(tmp_path, "m.mha", np.ones((4, 4, 4), bool))

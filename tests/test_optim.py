@@ -3,7 +3,7 @@ resume state that carries it."""
 import numpy as np
 import pytest
 
-from uception.errors import DataError, NumericError, ShapeError
+from uception.errors import ConfigError, DataError, NumericError, ShapeError
 from uception.models import UceptionCfg, build_uception
 from uception.optim import AdamState, CyclicSchedule, adam_step, cyclic_lr
 from uception.training import (
@@ -88,7 +88,7 @@ class TestCyclicLr:
             cyclic_lr(CyclicSchedule(), -1)
 
     def test_bad_schedule_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             CyclicSchedule(lr_max=1e-5, lr_min=1e-3)
 
 

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from uception.errors import DataError, ShapeError
+from uception.errors import ConfigError
 from uception.phantom import (PhantomSpec, _gaussian_blur, _stamp_ball,
                               generate_phantom, write_phantom_dataset)
 from uception.preprocess import resample_trilinear
@@ -55,14 +55,14 @@ def test_truth_is_binary_and_image_nonnegative():
 def test_foreground_bound_enforced():
     dense = PhantomSpec(extents=(16, 16, 16), tubes=30, radius_range=(2.5, 3.0),
                         seed=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         generate_phantom(dense)
 
 
 def test_bad_spec_rejected():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         PhantomSpec(tubes=0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         PhantomSpec(radius_range=(0.0, 1.0))
 
 
@@ -76,7 +76,7 @@ def test_bad_spec_rejected():
     {"tubes": -1}, {"seed": -1}, {"blobs": -1},
 ])
 def test_non_finite_or_negative_settings_rejected(setting):
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         PhantomSpec(**setting)
 
 
@@ -112,7 +112,7 @@ def test_dataset_files_load_as_pairs(tmp_path):
 
 
 def test_empty_dataset_rejected(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         write_phantom_dataset(tmp_path, 0, 0, 0)
 
 

@@ -1,6 +1,7 @@
 """Training loop semantics: determinism, loss descent, validation tiling,
 patch sampling, config parsing, the resume state file."""
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,17 @@ class TestConfig:
         key = text.partition(" =")[0]
         with pytest.raises(ConfigError, match=rf"^{key}\b"):
             parse_config(text)
+
+    @pytest.mark.parametrize("build,key", [
+        (lambda: TrainConfig(batch=0), "batch"),
+        (lambda: TrainConfig(model="resnet"), "model"),
+        (lambda: TrainConfig(mode="f16"), "mode"),
+        (lambda: TrainConfig(lr_max=float("nan")), "lr_max"),
+        (lambda: replace(TrainConfig(), patch=20), "patch"),
+    ], ids=["batch", "model", "mode", "lr_max", "replace-patch"])
+    def test_built_config_is_checked_like_a_parsed_one(self, build, key):
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
+            build()
 
 
 class TestTrainState:
